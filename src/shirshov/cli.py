@@ -144,8 +144,15 @@ def _cmd_verify_base(args: argparse.Namespace) -> int:
     d = args.d if args.d is not None else payload.get("d")
     D = args.D if args.D is not None else payload.get("D")
     graded = args.graded or bool(payload.get("graded", False))
-    if not isinstance(h, int) or not isinstance(d, int):
-        raise _CliError(EXIT_BAD_INPUT, "verify-base needs integer \"h\" and \"d\" (flags or fields).")
+    for name, value in (("h", h), ("d", d), ("D", D)):
+        if value is None and name == "D":
+            continue  # the expansion cap defaults to 2*d
+        # bool is an int subclass, so it is rejected by name.
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise _CliError(
+                EXIT_BAD_INPUT,
+                f"verify-base needs integer \"{name}\" (flag or field), got {value!r}.",
+            )
     if not isinstance(payload["base"], list):
         raise _CliError(EXIT_BAD_INPUT, "\"base\" must be a list of words.")
     try:
@@ -161,6 +168,8 @@ def _cmd_verify_base(args: argparse.Namespace) -> int:
         f"verdict: {report.verdict}",
         f"height {report.height}, d {report.degree_cap}, D {report.expansion_cap}",
         f"rank products {report.rank_products}, rank joint {report.rank_joint}",
+        "confluent: true" if report.confluent else
+        "confluent: false (normal forms, and so this verdict, depend on the rewriting strategy)",
     ]
     if report.missing:
         lines.append("missing: " + ", ".join(" ".join(w) for w in report.missing))

@@ -4,15 +4,20 @@ An algebra is presented by a graded alphabet and rewrite rules sending a
 word (the left-hand side) to a linear combination of words.  normalize()
 repeatedly replaces the leftmost occurrence of a longest-matching left-hand
 side in each monomial and collects like terms, e.g. under the single rule
-"x y" -> "y y x" the word "x x y" normalizes to "y y y y x x".  Confluence
-and termination of the presentation are the caller's assertion; a step
-budget turns runaway presentations into an error instead of a hang.
+"x y" -> "y y x" the word "x x y" normalizes to "y y y y x x".  Monomials are
+held as bytes over interned symbols and redexes are found by one compiled
+regular expression.  check_confluence() certifies, by Bergman's diamond
+lemma, that the normal form does not depend on the rewriting strategy; only
+then may normalize() reuse suffix normal forms through a SuffixChain.
+Termination of the presentation is the caller's assertion; a step budget
+turns runaway presentations into an error instead of a hang.
 
 Coefficients live in F_p (default p = 1000003) or in the exact rationals.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -34,6 +39,10 @@ __all__ = [
     "RationalField",
     "RewriteRule",
     "AlgebraSpec",
+    "Ambiguity",
+    "Confluence",
+    "SuffixChain",
+    "check_confluence",
     "normalize",
     "field_from_json",
     "algebra_from_json",
@@ -182,6 +191,21 @@ class RewriteRule:
                 )
 
 
+def _code(i: int) -> bytes:
+    # Symbol i is interned as the UTF-8 encoding of chr(i).  UTF-8 is
+    # self-synchronizing: no code's first byte occurs inside another code, so
+    # a byte-level match of whole codes starts and ends on symbol boundaries
+    # whatever the alphabet size.
+    return chr(i).encode("utf-8", "surrogatepass")
+
+
+def _exhausted(budget: int) -> StepBudgetExceeded:
+    return StepBudgetExceeded(
+        f"step budget {budget} exhausted while rewriting; "
+        "possibly non-terminating presentation."
+    )
+
+
 class AlgebraSpec:
     """A graded alphabet, rewrite rules, and a coefficient field."""
 
@@ -214,120 +238,290 @@ class AlgebraSpec:
         self.alphabet = alphabet
         self.rules = rules
         self.field = field
-        self._max_lhs = max((len(rule.lhs) for rule in rules), default=0)
-        # Bucket rules by the first lhs symbol, longest lhs first, so the
-        # first hit at a position is the longest match there (earlier rule
-        # wins among equal lengths).  lhs is kept in list form to compare
-        # against list slices of the word being rewritten.
-        by_first: dict[str, list[tuple[int, RewriteRule]]] = {}
-        for idx, rule in enumerate(rules):
-            by_first.setdefault(rule.lhs[0], []).append((idx, rule))
-        self._buckets = {
-            sym: tuple(
-                (list(rule.lhs), len(rule.lhs), rule)
-                for _, rule in sorted(pairs, key=lambda p: (-len(p[1].lhs), p[0]))
+        symbols = alphabet.symbols
+        self._enc = {sym: _code(i) for i, sym in enumerate(symbols)}
+        self._dec = {chr(i): sym for i, sym in enumerate(symbols)}
+        # Redexes are found by one alternation of the distinct lhs words,
+        # longest first and in listing order among equal lengths, so Python's
+        # leftmost-first alternation finds the leftmost occurrence of a
+        # longest lhs, the earlier rule winning ties.  Two lhs words that
+        # match at one position are prefix-related, so byte length orders
+        # them as symbol length does.  Each lhs maps to (the single rhs term
+        # or None, all rhs terms); a unit coefficient is stored as None so
+        # the rewrite loop can skip the multiplication.
+        one = field.one
+        self._actions: dict[bytes, tuple] = {}
+        for idx in sorted(
+            range(len(rules)), key=lambda i: (-len(self._encode(rules[i].lhs)), i)
+        ):
+            rhs = tuple(
+                (self._encode(rword), None if coef == one else coef)
+                for rword, coef in rules[idx].rhs
             )
-            for sym, pairs in by_first.items()
+            self._actions.setdefault(
+                self._encode(rules[idx].lhs), (rhs[0] if len(rhs) == 1 else None, rhs)
+            )
+        self._redex = re.compile(
+            b"|".join(map(re.escape, self._actions)) if rules else b"(?!)"
+        )
+        # A rewrite at byte pos can only create lhs occurrences starting at
+        # pos - _back or later; re clamps a negative start to 0.
+        self._back = max(map(len, self._actions), default=1) - 1
+        self._confluence: dict[int, Confluence] = {}
+
+    def _encode(self, word: Sequence[str]) -> bytes:
+        """The interned form of a word; raises ValueError on unknown symbols."""
+        return b"".join(self._codes(word))
+
+    def _codes(self, word: Sequence[str]) -> list[bytes]:
+        enc = self._enc
+        try:
+            return [enc[sym] for sym in word]
+        except KeyError:
+            for sym in word:
+                self.alphabet.grade(sym)
+            raise
+
+    def _decode(self, comb: dict) -> LinComb:
+        dec = self._dec.__getitem__
+        return {
+            tuple(map(dec, mono.decode("utf-8", "surrogatepass"))): coef
+            for mono, coef in comb.items()
         }
 
-    def _find_in(self, buf: list, start: int) -> Optional[tuple[int, RewriteRule, int]]:
-        """Leftmost occurrence of a longest-matching lhs at a position >= start."""
-        n = len(buf)
-        buckets = self._buckets
-        for pos in range(start, n):
-            bucket = buckets.get(buf[pos])
-            if bucket is None:
+
+def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple[dict, int]:
+    """Normal form of a linear combination of interned monomials.
+
+    pending maps each monomial to [coefficient, scan hint], where no position
+    left of the hint starts an lhs occurrence; it is consumed.  Monomials are
+    rewritten leftmost-longest, one step per rule application, counting on
+    from steps; passing budget raises StepBudgetExceeded.  Returns the normal
+    form and the step count.
+    """
+    field = spec.field
+    mul, add, is_zero, zero = field.mul, field.add, field.is_zero, field.zero
+    search = spec._redex.search
+    actions = spec._actions
+    back = spec._back
+    out: dict = {}
+    while pending:
+        mono, (coef, hint) = pending.popitem()
+        m = search(mono, hint)
+        if m is not None:
+            single, rhs = actions[m.group()]
+            if single is not None:
+                # Single-term rules keep a single monomial, so splice them in
+                # place; only branching rules need to fork.
+                buf = bytearray(mono)
+                while True:
+                    steps += 1
+                    if steps > budget:
+                        raise _exhausted(budget)
+                    pos, end = m.span()
+                    rword, rcoef = single
+                    buf[pos:end] = rword
+                    if rcoef is not None:
+                        coef = mul(coef, rcoef)
+                    m = search(buf, pos - back)
+                    if m is None:
+                        break
+                    single, rhs = actions[m.group()]
+                    if single is None:
+                        break
+                mono = bytes(buf)
+        if m is None:
+            acc = add(out.get(mono, zero), coef)
+            if is_zero(acc):
+                out.pop(mono, None)
+            else:
+                out[mono] = acc
+            continue
+        steps += 1
+        if steps > budget:
+            raise _exhausted(budget)
+        pos, end = m.span()
+        pre, post = mono[:pos], mono[end:]
+        hint = pos - back
+        for rword, rcoef in rhs:
+            nw = pre + rword + post
+            c = coef if rcoef is None else mul(coef, rcoef)
+            entry = pending.get(nw)
+            if entry is None:
+                pending[nw] = [c, hint]
                 continue
-            rest = n - pos
-            for lhs, L, rule in bucket:
-                if L <= rest and buf[pos : pos + L] == lhs:
-                    return pos, rule, L
-        return None
+            acc = add(entry[0], c)
+            if is_zero(acc):
+                del pending[nw]
+            else:
+                entry[0] = acc
+                if hint < entry[1]:
+                    entry[1] = hint
+    return out, steps
+
+
+def _check_budget(step_budget: int | None) -> int:
+    budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
+    if budget < 1:
+        raise ValueError(f"step budget must be >= 1, got {budget}.")
+    return budget
+
+
+@dataclass(frozen=True)
+class Ambiguity:
+    """One word reducible by two rules, with the normal form after each.
+
+    kind is "overlap" (word = A B C, lhs of rules[0] = A B, lhs of
+    rules[1] = B C, with A, B, C nonempty) or "inclusion" (word = lhs of
+    rules[0] = A lhs-of-rules[1] C).  left and right are the normal forms
+    after first applying rules[0], respectively rules[1]; None marks a side
+    that ran out of steps.
+    """
+
+    kind: str
+    rules: tuple[int, int]
+    word: Word
+    left: Optional[LinComb]
+    right: Optional[LinComb]
+
+
+@dataclass(frozen=True)
+class Confluence:
+    """Outcome of check_confluence: the number of ambiguities resolved before
+    the first unresolved one, which is None when every ambiguity resolves."""
+
+    resolved: int
+    unresolved: Optional[Ambiguity]
+
+    @property
+    def confluent(self) -> bool:
+        return self.unresolved is None
+
+
+def _ambiguities(rules: Sequence[RewriteRule]):
+    """(kind, i, j, word, position of rule j's lhs in word); rule i sits at 0."""
+    for i, ri in enumerate(rules):
+        li = ri.lhs
+        for j, rj in enumerate(rules):
+            lj = rj.lhs
+            for k in range(min(len(li), len(lj)) - 1, 0, -1):
+                if li[-k:] == lj[:k]:
+                    yield "overlap", i, j, li + lj[k:], len(li) - k
+            if i != j:
+                for a in range(len(li) - len(lj) + 1):
+                    if li[a : a + len(lj)] == lj:
+                        yield "inclusion", i, j, li, a
+
+
+def check_confluence(spec: AlgebraSpec, step_budget: int | None = None) -> Confluence:
+    """Resolve every overlap and inclusion ambiguity of the rules, both ways.
+
+    Each side is normalized within step_budget steps (default
+    DEFAULT_STEP_BUDGET) and the two normal forms are compared.  If all agree,
+    then by Bergman's diamond lemma every word has one normal form whatever
+    the order of rewriting, provided the presentation terminates, which stays
+    the caller's assertion.  The result is cached on the spec per budget.
+    """
+    budget = _check_budget(step_budget)
+    cached = spec._confluence.get(budget)
+    if cached is not None:
+        return cached
+
+    def side(word: Word, pos: int, rule: RewriteRule) -> Optional[dict]:
+        pre = spec._encode(word[:pos])
+        post = spec._encode(word[pos + len(rule.lhs) :])
+        pending = {pre + spec._encode(rw) + post: [c, 0] for rw, c in rule.rhs}
+        try:
+            return _rewrite(spec, pending, 0, budget)[0]
+        except StepBudgetExceeded:
+            return None
+
+    resolved = 0
+    unresolved = None
+    for kind, i, j, word, pos in _ambiguities(spec.rules):
+        left = side(word, 0, spec.rules[i])
+        right = side(word, pos, spec.rules[j])
+        if left is not None and left == right:
+            resolved += 1
+            continue
+        unresolved = Ambiguity(
+            kind, (i, j), word,
+            None if left is None else spec._decode(left),
+            None if right is None else spec._decode(right),
+        )
+        break
+    spec._confluence[budget] = Confluence(resolved, unresolved)
+    return spec._confluence[budget]
+
+
+class SuffixChain:
+    """Normal forms of the suffixes of the last word normalized with it.
+
+    Pass one chain to normalize(..., memo=chain) over a run of words: each
+    word then reuses the normal form of the longest suffix it shares with the
+    word before, which is what ordering the run by reversed word maximizes.
+    The chain holds one word's suffixes at a time, never a growing cache.
+    """
+
+    __slots__ = ("_spec", "_word", "_forms")
+
+    def __init__(self):
+        self._spec: Optional[AlgebraSpec] = None
+        self._word: Word = ()
+        # _forms[k] = (normal form of the last k letters, steps to fold it).
+        self._forms: list[tuple[dict, int]] = []
+
+    def _fold(self, spec: AlgebraSpec, word: Word, codes: list[bytes], budget: int) -> dict:
+        # Under a confluent presentation nf(a v) = nf(a nf(v)), so fold the
+        # word from the right.  Each form carries its cumulative step count,
+        # charged whenever it is reused, so the steps charged for a word, and
+        # whether it exhausts the budget, do not depend on what the chain
+        # already holds.
+        if self._spec is not spec:
+            self._spec, self._word = spec, ()
+            self._forms = [({b"": spec.field.one}, 0)]
+        prev, forms = self._word, self._forms
+        n = len(word)
+        shared = 0
+        limit = min(n, len(prev), len(forms) - 1)
+        while shared < limit and word[n - 1 - shared] == prev[-1 - shared]:
+            shared += 1
+        del forms[shared + 1 :]
+        self._word = word
+        form, steps = forms[shared]
+        if steps > budget:
+            raise _exhausted(budget)
+        for head in reversed(codes[: n - shared]):
+            pending = {head + mono: [coef, 0] for mono, coef in form.items()}
+            form, steps = _rewrite(spec, pending, steps, budget)
+            forms.append((form, steps))
+        return form
 
 
 def normalize(
-    spec: AlgebraSpec, word: Sequence[str], step_budget: int | None = None
+    spec: AlgebraSpec,
+    word: Sequence[str],
+    step_budget: int | None = None,
+    memo: SuffixChain | None = None,
 ) -> LinComb:
     """Rewrite a word to its normal form, a {monomial: coefficient} map.
 
     Each application of a rule to one monomial costs one step; exceeding the
-    budget (default DEFAULT_STEP_BUDGET) raises StepBudgetExceeded.
+    budget (default DEFAULT_STEP_BUDGET) raises StepBudgetExceeded.  Given a
+    SuffixChain, and only when check_confluence certifies the presentation
+    within the same budget, the word is folded from the right through the
+    chain and charged the fold's steps, cached suffixes included; otherwise
+    it is rewritten leftmost-longest as a whole.
     """
-    budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
-    if budget < 1:
-        raise ValueError(f"step budget must be >= 1, got {budget}.")
-    field = spec.field
+    budget = _check_budget(step_budget)
     w = tuple(word)
-    for sym in w:
-        spec.alphabet.grade(sym)
+    codes = spec._codes(w)
     if not spec.rules:
-        return {w: field.one}
-    find = spec._find_in
-    back = spec._max_lhs - 1
-    # Pending monomials carry a scan hint: every position left of it is known
-    # to start no lhs occurrence, so scans resume there instead of at 0.  A
-    # rewrite at pos can only create occurrences starting at pos - back or
-    # later, which keeps the hint valid as it advances.
-    pending: dict[Word, list] = {w: [field.one, 0]}
-    out: LinComb = {}
-    steps = 0
-    while pending:
-        mono, (coef, hint) = pending.popitem()
-        buf = list(mono)
-        hit = find(buf, hint)
-        # Single-term rules keep the element a single monomial, so apply them
-        # by splicing the buffer in place; only branching rules need to fork.
-        while hit is not None:
-            pos, rule, L = hit
-            if len(rule.rhs) != 1:
-                break
-            steps += 1
-            if steps > budget:
-                raise StepBudgetExceeded(
-                    f"step budget {budget} exhausted while rewriting; "
-                    "possibly non-terminating presentation."
-                )
-            rword, rcoef = rule.rhs[0]
-            buf[pos : pos + L] = rword
-            coef = field.mul(coef, rcoef)
-            hint = pos - back
-            if hint < 0:
-                hint = 0
-            hit = find(buf, hint)
-        if hit is None:
-            key = tuple(buf)
-            acc = field.add(out.get(key, field.zero), coef)
-            if field.is_zero(acc):
-                out.pop(key, None)
-            else:
-                out[key] = acc
-            continue
-        pos, rule, L = hit
-        steps += 1
-        if steps > budget:
-            raise StepBudgetExceeded(
-                f"step budget {budget} exhausted while rewriting; "
-                "possibly non-terminating presentation."
-            )
-        pre = tuple(buf[:pos])
-        post = tuple(buf[pos + L :])
-        nh = pos - back
-        if nh < 0:
-            nh = 0
-        for rword, rcoef in rule.rhs:
-            nw = pre + rword + post
-            entry = pending.get(nw)
-            if entry is None:
-                pending[nw] = [field.mul(coef, rcoef), nh]
-                continue
-            acc = field.add(entry[0], field.mul(coef, rcoef))
-            if field.is_zero(acc):
-                del pending[nw]
-            else:
-                entry[0] = acc
-                if nh < entry[1]:
-                    entry[1] = nh
-    return out
+        return {w: spec.field.one}
+    if memo is not None and check_confluence(spec, budget).confluent:
+        return spec._decode(memo._fold(spec, w, codes, budget))
+    pending = {b"".join(codes): [spec.field.one, 0]}
+    return spec._decode(_rewrite(spec, pending, 0, budget)[0])
 
 
 def algebra_from_json(obj: object) -> AlgebraSpec:

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .rewriting import AlgebraSpec, LinComb, PrimeField, normalize
+from .rewriting import (
+    AlgebraSpec,
+    LinComb,
+    PrimeField,
+    SuffixChain,
+    check_confluence,
+    normalize,
+)
 from .words import Word, grade_of, height_bound
 
 __all__ = [
@@ -101,20 +108,19 @@ def enumerate_products(
             uniq.append(w)
 
     out: list[PoweredProduct] = []
-
-    def extend(prefix: list[tuple[Word, int]], used: int, last: Optional[Word]) -> None:
+    # Partial products still to extend: (factors, expansion length, last base).
+    stack: list[tuple[tuple[tuple[Word, int], ...], int, Optional[Word]]] = [((), 0, None)]
+    while stack:
+        prefix, used, last = stack.pop()
         for base in uniq:
             if base == last:
                 continue
             blen = len(base)
-            top = (D - used) // blen
-            for exp in range(1, top + 1):
-                factors = prefix + [(base, exp)]
-                out.append(PoweredProduct(tuple(factors)))
+            for exp in range(1, (D - used) // blen + 1):
+                factors = prefix + ((base, exp),)
+                out.append(PoweredProduct(factors))
                 if len(factors) < h:
-                    extend(factors, used + blen * exp, base)
-
-    extend([], 0, None)
+                    stack.append((factors, used + blen * exp, base))
     out.sort(key=lambda p: (p.count, p.factors))
     return out
 
@@ -253,7 +259,12 @@ def _irreducible_words(
 
 @dataclass(frozen=True)
 class SpanReport:
-    """Outcome of a spanning check; missing lists unreached normal monomials."""
+    """Outcome of a spanning check; missing lists unreached normal monomials.
+
+    confluent tells whether check_confluence certified the presentation;
+    when it did not, normal forms, and with them the verdict, depend on the
+    rewriting strategy.
+    """
 
     verdict: str
     degree_cap: int
@@ -262,6 +273,7 @@ class SpanReport:
     rank_products: int
     rank_joint: int
     missing: tuple[Word, ...]
+    confluent: bool
     neutral: Optional["SpanReport"] = None
 
     @property
@@ -278,6 +290,7 @@ def report_to_json(report: SpanReport) -> dict:
         "rank_products": report.rank_products,
         "rank_joint": report.rank_joint,
         "missing": [list(w) for w in report.missing],
+        "confluent": report.confluent,
         "neutral": None if report.neutral is None else report_to_json(report.neutral),
     }
     return out
@@ -304,18 +317,19 @@ def _span_check(
     grade: int | None,
     step_budget: int | None,
 ) -> SpanReport:
+    confluent = check_confluence(spec, step_budget).confluent
     targets = _irreducible_words(spec, d, grade)
-    expansions: list[Word] = []
-    seen: set[Word] = set()
-    for p in enumerate_products(bases, h, D):
-        w = p.expansion()
-        if w not in seen:
-            seen.add(w)
-            expansions.append(w)
+    # In reversed-word order each expansion shares the longest available
+    # suffix with the one before, which the chain then reuses.  Ranks and
+    # residual leading monomials do not depend on the order of insertion.
+    expansions = sorted(
+        {p.expansion() for p in enumerate_products(bases, h, D)}, key=lambda w: w[::-1]
+    )
 
     base_ech = RowEchelon(spec.field)
+    chain = SuffixChain()
     for w in expansions:
-        nf = normalize(spec, w, step_budget)
+        nf = normalize(spec, w, step_budget, chain)
         if nf:
             base_ech.add(nf)
     rank_products = base_ech.rank
@@ -341,6 +355,7 @@ def _span_check(
         rank_products=rank_products,
         rank_joint=rank_joint,
         missing=tuple(sorted(missing, key=_deglex)),
+        confluent=confluent,
     )
 
 
@@ -434,5 +449,6 @@ def check_graded_theorem(
         rank_products=total.rank_products,
         rank_joint=total.rank_joint,
         missing=missing,
+        confluent=total.confluent,
         neutral=neutral,
     )

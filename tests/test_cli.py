@@ -235,6 +235,37 @@ def test_verify_base_requires_h_and_d(capsys):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("field, value", [("h", True), ("D", "5"), ("d", 5.0)])
+def test_verify_base_rejects_non_integer_caps(capsys, field, value):
+    doc = {"algebra": FIXTURE_ALGEBRA, "base": [["x"], ["y"]], "h": 2, "d": 3}
+    doc[field] = value
+    code, out, err = run(capsys, "verify-base", "--json", json.dumps(doc))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert f'integer "{field}"' in err and "Traceback" not in err
+
+
+def test_verify_base_reports_confluence(capsys):
+    payload = json.dumps({"algebra": FIXTURE_ALGEBRA, "base": [["x"], ["y"]], "h": 2, "d": 3})
+    code, doc, _ = run_json(capsys, "verify-base", "--json", payload)
+    assert code == EXIT_OK and doc["confluent"] is True
+    code, out, _ = run(capsys, "verify-base", "--format", "human", "--json", payload)
+    assert "confluent: true" in out
+    twisted = {
+        "alphabet": {"group": {"cyclic": 1},
+                     "generators": [{"sym": s, "grade": 0} for s in "xyzuv"]},
+        "rules": [
+            {"lhs": ["x", "y"], "rhs": [{"coef": "1", "word": ["u"]}]},
+            {"lhs": ["y", "z"], "rhs": [{"coef": "1", "word": ["v"]}]},
+        ],
+    }
+    payload = json.dumps({"algebra": twisted, "base": [["x"], ["y"], ["z"]], "h": 3, "d": 3})
+    _, doc, _ = run_json(capsys, "verify-base", "--json", payload)
+    assert doc["confluent"] is False
+    _, out, _ = run(capsys, "verify-base", "--format", "human", "--json", payload)
+    assert "confluent: false" in out
+
+
 def test_verify_base_malformed_algebra(capsys):
     payload = json.dumps({"algebra": {"rules": []}, "base": [["x"]]})
     code, _, _ = run(capsys, "verify-base", "--h", "1", "--d", "2", "--json", payload)

@@ -1,5 +1,6 @@
 """String rewriting to normal forms over exact coefficient fields."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,257 @@ def test_normalize_deterministic():
     alg = _fixture_algebra()
     w = ("x", "y", "x", "y", "y", "x")
     assert sh.normalize(alg, w) == sh.normalize(alg, w)
+
+
+# ---------------------------------------------------------------- engine oracle
+
+
+def _naive_normalize(spec, word, budget):
+    """Leftmost-longest rewriting on tuples, earlier rule winning ties.
+
+    Returns (normal form, steps); every monomial is rewritten on its own, so
+    steps match the engine's exactly when no rule forks.
+    """
+    field, out, steps = spec.field, {}, 0
+    todo = [(tuple(word), field.one)]
+    while todo:
+        mono, coef = todo.pop()
+        hit = None
+        for pos in range(len(mono)):
+            for rule in spec.rules:
+                L = len(rule.lhs)
+                if mono[pos : pos + L] == rule.lhs and (hit is None or L > len(hit[1].lhs)):
+                    hit = (pos, rule)
+            if hit is not None:
+                break
+        if hit is None:
+            acc = field.add(out.pop(mono, field.zero), coef)
+            if not field.is_zero(acc):
+                out[mono] = acc
+            continue
+        steps += 1
+        if steps > budget:
+            raise sh.StepBudgetExceeded("naive budget")
+        pos, rule = hit
+        for rword, rcoef in rule.rhs:
+            todo.append((mono[:pos] + rword + mono[pos + len(rule.lhs) :], field.mul(coef, rcoef)))
+    return out, steps
+
+
+def _branching_algebra():
+    Q = sh.RationalField()
+    return sh.AlgebraSpec(
+        alphabet=_z2_alphabet(),
+        rules=[sh.RewriteRule(
+            lhs=("y", "x"), rhs=((("x", "y"), Fraction(2)), (("x",), Fraction(1, 3)))
+        )],
+        field=Q,
+    )
+
+
+def _leftmost_algebra():
+    return sh.AlgebraSpec(
+        alphabet=_trivial_alphabet("x", "y", "z", "u", "v"),
+        rules=[
+            sh.RewriteRule(lhs=("x", "y"), rhs=((("u",), 1),)),
+            sh.RewriteRule(lhs=("y", "z"), rhs=((("v",), 1),)),
+        ],
+    )
+
+
+def _longest_algebra():
+    return sh.AlgebraSpec(
+        alphabet=_trivial_alphabet("a", "b", "c"),
+        rules=[
+            sh.RewriteRule(lhs=("a", "a"), rhs=((("b",), 1),)),
+            sh.RewriteRule(lhs=("a", "a", "a"), rhs=((("c",), 1),)),
+            sh.RewriteRule(lhs=("b", "c"), rhs=((("a",), 1),)),
+        ],
+    )
+
+
+def _equal_length_algebra():
+    return sh.AlgebraSpec(
+        alphabet=_trivial_alphabet("a", "b", "c"),
+        rules=[
+            sh.RewriteRule(lhs=("a", "a"), rhs=((("b",), 1),)),
+            sh.RewriteRule(lhs=("a", "a"), rhs=((("c",), 1),)),
+        ],
+    )
+
+
+def _pingpong_algebra():
+    return sh.AlgebraSpec(
+        alphabet=_trivial_alphabet("x", "y"),
+        rules=[
+            sh.RewriteRule(lhs=("x", "y"), rhs=((("y", "x"), 1),)),
+            sh.RewriteRule(lhs=("y", "x"), rhs=((("x", "y"), 1),)),
+        ],
+    )
+
+
+# Symbols whose codes take one, two and three UTF-8 bytes, with neighbours
+# across each boundary.
+_WIDE = [f"s{i}" for i in (0, 1, 126, 127, 128, 129, 255, 256, 2046, 2047, 2048, 2049)]
+
+
+def _wide_algebra():
+    # 2100 symbols; rules only among _WIDE, each lhs above its rhs monomials
+    # in deglex order, so the presentation terminates: commuting swaps, a
+    # longest-match rule and a forking rule.  It presents a commutative
+    # algebra whose two relations have coprime leading monomials, so it is
+    # confluent.
+    w = _WIDE
+    Q = sh.RationalField()
+    rules = [
+        sh.RewriteRule(lhs=(w[i], w[j]), rhs=(((w[j], w[i]), Q.one),))
+        for i in range(len(w)) for j in range(i)
+    ]
+    rules.append(sh.RewriteRule(lhs=(w[5], w[5], w[5]), rhs=(((w[0],), Fraction(3)),)))
+    rules.append(sh.RewriteRule(
+        lhs=(w[7], w[7]), rhs=(((w[2], w[9]), Fraction(-1, 2)), ((w[11],), Q.one))
+    ))
+    return sh.AlgebraSpec(_trivial_alphabet(*(f"s{i}" for i in range(2100))), rules, Q)
+
+
+def _random_words(rng, letters, count, longest):
+    return [
+        tuple(rng.choice(letters) for _ in range(rng.randrange(longest + 1)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("make, letters, longest, budget", [
+    pytest.param(_fixture_algebra, "xy", 9, 10**6, id="fixture"),
+    pytest.param(_branching_algebra, "xy", 8, 10**6, id="branching"),
+    pytest.param(_leftmost_algebra, "xyzuv", 10, 10**6, id="leftmost"),
+    pytest.param(_longest_algebra, "abc", 10, 10**6, id="longest"),
+    pytest.param(_equal_length_algebra, "abc", 10, 10**6, id="equal"),
+    pytest.param(_pingpong_algebra, "xy", 6, 50, id="pingpong"),
+    pytest.param(_wide_algebra, _WIDE + ["s3", "s300", "s2099"], 8, 10**6, id="wide"),
+])
+def test_engine_matches_naive_rewriter(make, letters, longest, budget):
+    alg = make()
+    rng = random.Random(7)
+    forks = any(len(rule.rhs) != 1 for rule in alg.rules)
+    for word in _random_words(rng, letters, 150, longest):
+        try:
+            expect, steps = _naive_normalize(alg, word, budget)
+        except sh.StepBudgetExceeded:
+            with pytest.raises(sh.StepBudgetExceeded):
+                sh.normalize(alg, word, step_budget=budget)
+            continue
+        assert sh.normalize(alg, word, step_budget=budget) == expect
+        if not forks and steps > 1:
+            # The engine charges exactly the naive rewriter's steps.
+            assert sh.normalize(alg, word, step_budget=steps) == expect
+            with pytest.raises(sh.StepBudgetExceeded):
+                sh.normalize(alg, word, step_budget=steps - 1)
+
+
+@pytest.mark.parametrize("make, letters", [
+    pytest.param(_fixture_algebra, "xy", id="fixture"),
+    pytest.param(_branching_algebra, "xy", id="branching"),
+    pytest.param(_wide_algebra, _WIDE, id="wide"),
+])
+def test_memo_path_equals_direct_path_in_any_order(make, letters):
+    alg = make()
+    rng = random.Random(7)
+    assert sh.check_confluence(alg).confluent
+    words = _random_words(rng, letters, 120, 8)
+    words += [w[rng.randrange(len(w) + 1):] for w in words]  # shared suffixes
+    direct = {w: sh.normalize(alg, w, step_budget=10**6) for w in words}
+    for order in (sorted(words, key=lambda w: w[::-1]), words[::-1], words):
+        chain = sh.SuffixChain()
+        for w in order:
+            assert sh.normalize(alg, w, 10**6, chain) == direct[w]
+
+
+def test_memo_closed_form_charges_fold_steps_on_both_paths():
+    # nf(x^a y^b) = y^(b 2^a) x^a in exactly b (2^a - 1) steps, charged in
+    # full on the memo path even when the chain already holds a suffix.
+    alg = _fixture_algebra()
+    for a, b in ((1, 2), (2, 3), (5, 2), (8, 1)):
+        word = ("x",) * a + ("y",) * b
+        expect = {("y",) * (b << a) + ("x",) * a: 1}
+        steps = b * ((1 << a) - 1)
+        warm = sh.SuffixChain()
+        sh.normalize(alg, word[1:], steps, warm)
+        for memo in (None, sh.SuffixChain(), warm):
+            with pytest.raises(sh.StepBudgetExceeded):
+                sh.normalize(alg, word, steps - 1, memo)
+            assert sh.normalize(alg, word, steps, memo) == expect
+
+
+def test_memo_ignored_on_uncertified_presentation():
+    # Folding "x y z" from the right would give "x v"; the leftmost-longest
+    # strategy gives "u z", and stays in force when the chain is passed.
+    chain = sh.SuffixChain()
+    alg = _leftmost_algebra()
+    assert sh.normalize(alg, ("y", "z"), memo=chain) == {("v",): 1}
+    assert sh.normalize(alg, ("x", "y", "z"), memo=chain) == {("u", "z"): 1}
+    with pytest.raises(sh.StepBudgetExceeded):
+        sh.normalize(_pingpong_algebra(), ("x", "y"), 99, sh.SuffixChain())
+
+
+# ---------------------------------------------------------------- confluence
+
+
+def test_check_confluence_certifies_fixture_and_branching():
+    for alg in (_fixture_algebra(), _branching_algebra(), _wide_algebra()):
+        cert = sh.check_confluence(alg)
+        assert cert.confluent and cert.unresolved is None
+        assert sh.check_confluence(alg) is cert  # cached on the spec
+    free = sh.AlgebraSpec(alphabet=_z2_alphabet(), rules=[])
+    assert sh.check_confluence(free) == sh.Confluence(resolved=0, unresolved=None)
+
+
+def test_check_confluence_counts_resolved_ambiguities():
+    # The self-overlap "a a a" of a a -> b gives "b a" and "a b"; the
+    # commuting rule b a -> a b joins them, and its overlap "b a a" with
+    # a a -> b resolves to "a a b" -> "b b" both ways.
+    alg = sh.AlgebraSpec(
+        alphabet=_trivial_alphabet("a", "b"),
+        rules=[
+            sh.RewriteRule(lhs=("a", "a"), rhs=((("b",), 1),)),
+            sh.RewriteRule(lhs=("b", "a"), rhs=((("a", "b"), 1),)),
+        ],
+    )
+    cert = sh.check_confluence(alg)
+    assert cert.confluent and cert.resolved == 2
+
+
+def test_check_confluence_reports_first_unresolved_ambiguity():
+    cert = sh.check_confluence(_leftmost_algebra())
+    assert not cert.confluent
+    assert cert.unresolved == sh.Ambiguity(
+        "overlap", (0, 1), ("x", "y", "z"), {("u", "z"): 1}, {("x", "v"): 1}
+    )
+    cert = sh.check_confluence(_equal_length_algebra())
+    assert cert.unresolved == sh.Ambiguity(
+        "overlap", (0, 0), ("a", "a", "a"), {("b", "a"): 1}, {("a", "b"): 1}
+    )
+    cert = sh.check_confluence(_pingpong_algebra(), step_budget=50)
+    assert cert.unresolved == sh.Ambiguity("overlap", (0, 1), ("x", "y", "x"), None, None)
+
+
+def test_check_confluence_finds_inclusions():
+    alg = sh.AlgebraSpec(
+        alphabet=_trivial_alphabet("a", "b", "c"),
+        rules=[
+            sh.RewriteRule(lhs=("a", "b", "c"), rhs=((("c",), 1),)),
+            sh.RewriteRule(lhs=("b",), rhs=((("c",), 1),)),
+        ],
+    )
+    cert = sh.check_confluence(alg)
+    assert cert.unresolved == sh.Ambiguity(
+        "inclusion", (0, 1), ("a", "b", "c"), {("c",): 1}, {("a", "c", "c"): 1}
+    )
+
+
+def test_check_confluence_validates_budget():
+    with pytest.raises(ValueError):
+        sh.check_confluence(_fixture_algebra(), step_budget=0)
 
 
 # ---------------------------------------------------------------- JSON

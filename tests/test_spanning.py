@@ -1,6 +1,8 @@
 """Powered-product enumeration and witnessed-spanning verdicts."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -89,6 +91,19 @@ def test_enumerate_products_respects_caps():
 
 def test_enumerate_products_deduplicates_bases():
     assert len(sh.enumerate_products([("x",), ("x",)], 1, 3)) == 3
+
+
+def test_enumerate_products_frees_products_without_cyclic_gc():
+    # The product list must hold no reference cycle: dropping it frees every
+    # product at once, with the cyclic collector off.
+    gc.disable()
+    try:
+        prods = sh.enumerate_products([("x",), ("y",)], 3, 6)
+        ref = weakref.ref(prods[-1])
+        del prods
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_enumerate_products_validation():
@@ -301,6 +316,22 @@ def test_report_json_shape():
     )
     assert flat["neutral"] is None
     assert ["x", "y", "x"] in flat["missing"]
+    assert doc["confluent"] is True and flat["confluent"] is True
+
+
+def test_report_flags_unconfluent_presentation():
+    alpha = sh.build_group(sh.cyclic(1))
+    alg = sh.AlgebraSpec(
+        alphabet=sh.GradedAlphabet(alpha, [("x", 0), ("y", 0), ("z", 0), ("u", 0), ("v", 0)]),
+        rules=[
+            sh.RewriteRule(lhs=("x", "y"), rhs=((("u",), 1),)),
+            sh.RewriteRule(lhs=("y", "z"), rhs=((("v",), 1),)),
+        ],
+    )
+    rep = sh.is_shirshov_base(alg, [("x",), ("y",), ("z",)], h=3, d=3)
+    assert rep.confluent is False
+    assert sh.report_to_json(rep)["confluent"] is False
+    assert sh.is_shirshov_base(_fixture_algebra(), [("x",), ("y",)], h=2, d=3).confluent
 
 
 def test_field_agreement_on_fixture():
