@@ -16,6 +16,7 @@ from .intervals import (
     decompose_optimal,
     decomposition_to_json,
     lemma_bound,
+    prefix_products,
     sequence_from_json,
 )
 from .rewriting import StepBudgetExceeded, algebra_from_json
@@ -73,6 +74,36 @@ def _load_payload(args: argparse.Namespace, required: bool = True) -> Optional[o
         raise _CliError(EXIT_BAD_INPUT, f"bad JSON: {exc}") from exc
 
 
+def _int_field(
+    command: str,
+    payload: dict,
+    name: str,
+    flag: Optional[int] = None,
+    default: Optional[int] = None,
+    minimum: Optional[int] = None,
+    required: bool = False,
+) -> Optional[int]:
+    """An integer from the --flag, else the payload field, else the default.
+
+    JSON null counts as absent.  bool is an int subclass, so it is rejected
+    by name, like float and string.
+    """
+    value = flag if flag is not None else payload.get(name)
+    if value is None and not required:
+        return default
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        at_least = f" >= {minimum}" if minimum is not None else ""
+        raise _CliError(
+            EXIT_BAD_INPUT,
+            f"{command} needs integer \"{name}\"{at_least}, got {value!r}.",
+        )
+    return value
+
+
 def _emit(doc: object, lines: list[str], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(doc))
@@ -121,10 +152,8 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
         "segments: " + (" ".join(f"{s.tag}[{s.start},{s.end}]" for s in fact.segments) or "(empty)"),
         f"k = {fact.k}, y letters = {fact.y_total}",
     ]
-    h = args.h if args.h is not None else payload.get("h")
+    h = _int_field("factorize", payload, "h", args.h, minimum=1)
     if h is not None:
-        if not isinstance(h, int) or h < 1:
-            raise _CliError(EXIT_BAD_INPUT, f"height must be a positive integer, got {h!r}.")
         count = power_count(fact, h)
         bound = height_bound(h, alphabet.group.order)
         doc.update({"power_count": count, "height_bound": bound, "within_bound": count <= bound})
@@ -140,19 +169,15 @@ def _cmd_verify_base(args: argparse.Namespace) -> int:
     payload = _load_payload(args)
     if not isinstance(payload, dict) or "algebra" not in payload or "base" not in payload:
         raise _CliError(EXIT_BAD_INPUT, "verify-base needs \"algebra\" and \"base\" fields.")
-    h = args.h if args.h is not None else payload.get("h")
-    d = args.d if args.d is not None else payload.get("d")
-    D = args.D if args.D is not None else payload.get("D")
-    graded = args.graded or bool(payload.get("graded", False))
-    for name, value in (("h", h), ("d", d), ("D", D)):
-        if value is None and name == "D":
-            continue  # the expansion cap defaults to 2*d
-        # bool is an int subclass, so it is rejected by name.
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise _CliError(
-                EXIT_BAD_INPUT,
-                f"verify-base needs integer \"{name}\" (flag or field), got {value!r}.",
-            )
+    h = _int_field("verify-base", payload, "h", args.h, required=True)
+    d = _int_field("verify-base", payload, "d", args.d, required=True)
+    D = _int_field("verify-base", payload, "D", args.D)  # None: the cap is 2*d
+    graded = payload.get("graded", False)
+    if not isinstance(graded, bool):
+        raise _CliError(
+            EXIT_BAD_INPUT, f"verify-base needs boolean \"graded\", got {graded!r}."
+        )
+    graded = graded or args.graded
     if not isinstance(payload["base"], list):
         raise _CliError(EXIT_BAD_INPUT, "\"base\" must be a list of words.")
     try:
@@ -191,25 +216,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     payload = _load_payload(args, required=False)
     cfg = payload if isinstance(payload, dict) else {}
     group_json = cfg.get("group", {"cyclic": 17})
-    n = cfg.get("n", 1_000_000)
-    trials = args.trials if args.trials is not None else cfg.get("trials", 3)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not isinstance(n, int) or n < 0:
-        raise _CliError(EXIT_BAD_INPUT, f"n must be a nonnegative integer, got {n!r}.")
-    if not isinstance(trials, int) or trials < 1:
-        raise _CliError(EXIT_BAD_INPUT, f"trials must be >= 1, got {trials!r}.")
+    n = _int_field("bench", cfg, "n", default=1_000_000, minimum=0)
+    trials = _int_field("bench", cfg, "trials", args.trials, default=3, minimum=1)
+    seed = _int_field("bench", cfg, "seed", args.seed, default=0, minimum=0)
     try:
         group = build_group(spec_from_json(group_json))
     except ValueError as exc:
         raise _CliError(EXIT_BAD_INPUT, str(exc)) from exc
     m = group.order
+    # Warm up the Cayley array, allocator and dispatch outside the timed region.
+    prefix_products(GradeSequence(group, np.zeros(8192, dtype=np.int64)))
     rng = np.random.default_rng(seed)
-    arrays = [rng.integers(0, m, size=n) for _ in range(trials)]
-    # Warm up allocator and dispatch outside the timed region.
-    decompose_optimal(GradeSequence(group, np.zeros(8192, dtype=np.int64)))
     results = []
-    for t, arr in enumerate(arrays):
-        seq = GradeSequence(group, arr)
+    for t in range(trials):
+        seq = GradeSequence(group, rng.integers(0, m, size=n))
         t0 = time.perf_counter()
         dec = decompose_optimal(seq)
         dt = time.perf_counter() - t0

@@ -11,7 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "GroupSpec",
@@ -153,6 +156,17 @@ class FiniteGroup:
             if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
                 raise ValueError(f"associativity violated at triple ({a},{b},{c}).")
 
+    @cached_property
+    def cayley(self) -> np.ndarray:
+        """The multiplication table as an (order, order) numpy array, built once.
+
+        Its dtype is int32 unless a flat index a*order + b could overflow it;
+        it is read-only.
+        """
+        arr = np.array(self.mul_table, dtype=_index_dtype(self.order))
+        arr.flags.writeable = False
+        return arr
+
     def id(self) -> int:
         return 0
 
@@ -188,6 +202,11 @@ class FiniteGroup:
     def __repr__(self) -> str:
         kind = self.spec.kind if self.spec is not None else "table"
         return f"FiniteGroup(order={self.order}, kind={kind})"
+
+
+def _index_dtype(m: int) -> type:
+    """Smallest of int32/int64 holding every flat Cayley index a*m + b < m*m."""
+    return np.int32 if m * m <= np.iinfo(np.int32).max + 1 else np.int64
 
 
 def _build_cyclic(n: int) -> FiniteGroup:

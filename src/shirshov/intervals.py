@@ -38,7 +38,9 @@ __all__ = [
 ]
 
 ORACLE_LIMIT = 16
-_VECTOR_MIN = 4096
+# decompose_optimal takes the vectorized core from n >= _VECTOR_RATIO * |G|.
+_VECTOR_RATIO = 1000
+_SCAN_BLOCK = 64
 
 
 class Interval(NamedTuple):
@@ -111,15 +113,31 @@ def lemma_bound(n: int, m: int) -> int:
     return max(0, n - m + 1)
 
 
-def prefix_products(seq: GradeSequence) -> list[int]:
-    """All prefix products f(0) = e, f(k) = g_1 * ... * g_k."""
-    table = seq.group.mul_table
-    out = [0] * (len(seq) + 1)
-    acc = 0
-    for k, g in enumerate(seq.elems, start=1):
-        acc = table[acc][g]
-        out[k] = acc
-    return out
+def prefix_products(seq: GradeSequence) -> np.ndarray:
+    """All prefix products f(0) = e, f(k) = g_1 * ... * g_k, as one numpy array."""
+    return _scan(seq.group.cayley, seq.elems)
+
+
+def _scan(cayley: np.ndarray, elems: Sequence[int] | np.ndarray) -> np.ndarray:
+    # Blocked Hillis-Steele scan over the Cayley table: doubling steps inside
+    # rows of _SCAN_BLOCK elements, the same scan over the row totals, then
+    # one pass that multiplies each row by the product of all rows before it.
+    # The table's dtype is wide enough for the flat index a*m + b.
+    m = len(cayley)
+    flat = cayley.ravel()
+    n = len(elems)
+    rows = -(-n // _SCAN_BLOCK)
+    out = np.zeros(1 + rows * _SCAN_BLOCK, dtype=flat.dtype)  # tail pads with e
+    block = out[1:].reshape(rows, _SCAN_BLOCK)
+    out[1 : n + 1] = elems
+    off = 1
+    while off < _SCAN_BLOCK:
+        block[:, off:] = flat[block[:, :-off] * m + block[:, off:]]
+        off *= 2
+    if rows > 1:
+        carry = _scan(cayley, block[:-1, -1])[1:]
+        block[1:] = flat[carry[:, None] * m + block[1:]]
+    return out[: n + 1]
 
 
 def decompose_optimal(seq: GradeSequence) -> Decomposition:
@@ -128,19 +146,14 @@ def decompose_optimal(seq: GradeSequence) -> Decomposition:
     Runs in time linear in the sequence length and is deterministic: when
     skipping position i and closing an interval at i tie, the interval wins,
     and among equally good interval starts the earliest (longest interval)
-    wins.  Cyclic-group sequences of at least _VECTOR_MIN elements take a
-    vectorized path with identical output.
+    wins.  Sequences of at least _VECTOR_RATIO * |G| elements take a
+    vectorized path over prefix_products with identical output.
     """
-    n = len(seq)
-    group = seq.group
-    if (
-        n >= _VECTOR_MIN
-        and group.spec is not None
-        and group.spec.kind == "cyclic"
-    ):
-        intervals, coverage = _optimal_core_cyclic(group.order, seq.elems)
+    n, m = len(seq), seq.group.order
+    if n >= _VECTOR_RATIO * m:
+        intervals, coverage = _optimal_core_vector(prefix_products(seq), m)
     else:
-        intervals, coverage = _optimal_core_reference(group.mul_table, seq.elems)
+        intervals, coverage = _optimal_core_reference(seq.group.mul_table, seq.elems)
     return Decomposition(
         intervals=tuple(intervals),
         uncovered=tuple(_complement(intervals, n)),
@@ -193,24 +206,15 @@ def _optimal_core_reference(
     return intervals, phi[n] + n
 
 
-def _optimal_core_cyclic(
-    m: int, elems: Sequence[int] | np.ndarray
-) -> tuple[list[Interval], int]:
-    # Same recurrence as the reference, evaluated in chunks: with the best[]
-    # map frozen, phi[i] = max_t<=i (best[f(t)] + t) - i is a running maximum,
-    # so each chunk is one vectorized scan.  A chunk stays valid up to the
-    # first position whose phi would raise its own best[] entry; that update
-    # is applied and the scan resumes.  best[] entries only ever increase
-    # within [-(m-1), 0], so there are at most m*(m+1) such events in total.
-    arr = np.asarray(elems)
-    n = int(arr.size)
-    f64 = np.empty(n + 1, dtype=np.int64)
-    f64[0] = 0
-    np.cumsum(arr, out=f64[1:])
-    f64[1:] %= m
-    f = f64.astype(np.int32)
-    del f64
-
+def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
+    # Same recurrence as the reference over the prefix products f, evaluated
+    # in chunks: with the best[] map frozen, phi[i] = max_t<=i (best[f(t)] + t)
+    # - i is a running maximum, so each chunk is one vectorized scan.  A chunk
+    # stays valid up to the first position whose phi would raise its own
+    # best[] entry; that update is applied and the scan resumes.  best[]
+    # entries only ever increase within [-(m-1), 0], so there are at most
+    # m*(m+1) such events in total.
+    n = len(f) - 1
     neg = -(1 << 30)
     best_val = np.full(m, neg, dtype=np.int32)
     best_val[0] = 0
@@ -271,7 +275,7 @@ def _complement(intervals: Sequence[Interval], n: int) -> list[int]:
     nxt = 1
     for iv in intervals:
         out.extend(range(nxt, iv.start))
-        nxt = iv.end + 1
+        nxt = max(nxt, iv.end + 1)
     out.extend(range(nxt, n + 1))
     return out
 
@@ -326,7 +330,6 @@ def decompose_bruteforce(seq: GradeSequence) -> Decomposition:
 def verify_decomposition(seq: GradeSequence, dec: Decomposition) -> DecompositionReport:
     """Check a claimed decomposition against the sequence it describes."""
     n = len(seq)
-    table = seq.group.mul_table
     violations: list[str] = []
 
     shaped: list[Interval] = []
@@ -345,24 +348,19 @@ def verify_decomposition(seq: GradeSequence, dec: Decomposition) -> Decompositio
             violations.append(f"intervals [{prev.start},{prev.end}] and "
                               f"[{cur.start},{cur.end}] overlap.")
 
-    for iv in shaped:
-        acc = 0
-        for k in range(iv.start, iv.end + 1):
-            acc = table[acc][seq.elems[k - 1]]
-        if acc != 0:
-            violations.append(f"interval [{iv.start},{iv.end}] product != identity.")
+    # [a, b] has identity product iff f(a-1) = f(b).
+    f = prefix_products(seq)
+    ends = np.array(shaped, dtype=np.int64).reshape(-1, 2)
+    for k in np.flatnonzero(f[ends[:, 0] - 1] != f[ends[:, 1]]):
+        violations.append(f"interval [{shaped[k].start},{shaped[k].end}] product != identity.")
 
-    total = sum(iv.length for iv in shaped)
+    total = int((ends[:, 1] - ends[:, 0] + 1).sum())
     if dec.coverage != total:
         violations.append(
             f"coverage miscount: stated {dec.coverage}, intervals cover {total}."
         )
 
-    covered = set()
-    for iv in shaped:
-        covered.update(range(iv.start, iv.end + 1))
-    expect_uncovered = [p for p in range(1, n + 1) if p not in covered]
-    if list(dec.uncovered) != expect_uncovered:
+    if list(dec.uncovered) != _complement(in_order, n):
         violations.append("uncovered positions do not match the complement.")
 
     bound_ok = dec.coverage >= lemma_bound(n, seq.group.order)

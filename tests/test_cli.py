@@ -329,6 +329,24 @@ def test_bench_rejects_bad_config(capsys):
     assert run(capsys, "bench", "--json", '{"group": {"cyclic": 0}}')[0] == EXIT_BAD_INPUT
 
 
+# ------------------------------------------------------------ payload types
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("bench", "--json", '{"n": true}'), '"n"'),
+    (("factorize", "--json",
+      json.dumps({"alphabet": Z2_ALPHABET, "word": ["y"], "h": True})), '"h"'),
+    (("verify-base", "--json",
+      json.dumps({"algebra": FREE_ALGEBRA, "base": [["x"]], "h": 2, "d": 3,
+                  "graded": "no"})), '"graded"'),
+], ids=["bench-n", "factorize-h", "verify-base-graded"])
+def test_mistyped_payload_field_names_the_field(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert field in err and "Traceback" not in err
+
+
 # ----------------------------------------------------------------- plumbing
 
 

@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import shirshov as sh
+from shirshov.groups import _index_dtype
 
 
 def test_cyclic_basics():
@@ -166,3 +168,18 @@ def test_spec_json_rejects_garbage():
                 {"table": {"order": 2, "table": [[0, 1]]}}):
         with pytest.raises(ValueError):
             sh.spec_from_json(doc)
+
+
+def test_cayley_array_matches_table():
+    g = sh.build_group(sh.symmetric(4))
+    assert g.cayley.tolist() == [list(row) for row in g.mul_table]
+    assert g.cayley.dtype == np.int32
+    assert g.cayley is g.cayley
+    with pytest.raises(ValueError):
+        g.cayley[0, 0] = 1
+
+
+def test_index_dtype_widens_before_int32_overflow():
+    # Flat indices of order m reach m^2 - 1; 46340^2 - 1 < 2^31 <= 46341^2 - 1.
+    assert _index_dtype(46340) is np.int32
+    assert _index_dtype(46341) is np.int64

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import shirshov as sh
-from shirshov.intervals import _optimal_core_cyclic, _optimal_core_reference
+from shirshov.intervals import _optimal_core_reference, _optimal_core_vector
 
 
 def _seq(spec, elems):
@@ -15,9 +15,30 @@ def _seq(spec, elems):
 
 
 def test_prefix_products_examples():
-    assert sh.prefix_products(_seq(sh.cyclic(2), [1, 1, 1, 0])) == [0, 1, 0, 1, 1]
-    assert sh.prefix_products(_seq(sh.cyclic(2), [])) == [0]
-    assert sh.prefix_products(_seq(sh.cyclic(3), [1, 1, 1])) == [0, 1, 2, 0]
+    assert sh.prefix_products(_seq(sh.cyclic(2), [1, 1, 1, 0])).tolist() == [0, 1, 0, 1, 1]
+    assert sh.prefix_products(_seq(sh.cyclic(2), [])).tolist() == [0]
+    assert sh.prefix_products(_seq(sh.cyclic(3), [1, 1, 1])).tolist() == [0, 1, 2, 0]
+
+
+def test_prefix_products_match_left_fold():
+    # Lengths straddle the scan's 64-element rows; 65 and 4100 recurse over
+    # the row totals, 4100 twice.
+    rng = random.Random(3)
+    specs = (
+        sh.cyclic(17), sh.dihedral(4), sh.symmetric(4),
+        sh.product(sh.symmetric(3), sh.cyclic(4)),
+        sh.table(sh.build_group(sh.symmetric(3)).mul_table),
+    )
+    for spec in specs:
+        group = sh.build_group(spec)
+        for n in (0, 1, 63, 64, 65, 4100):
+            elems = [rng.randrange(group.order) for _ in range(n)]
+            fold = list(itertools.accumulate(elems, group.mul, initial=group.id()))
+            got = sh.prefix_products(sh.GradeSequence(group, elems))
+            assert got.tolist() == fold
+            assert got[-1] == group.prod(elems)
+            arr = sh.prefix_products(sh.GradeSequence(group, np.array(elems, dtype=np.int64)))
+            assert arr.tolist() == fold
 
 
 def test_lemma_bound_examples():
@@ -116,6 +137,15 @@ def test_verify_flags_overlap():
     )
     rep = sh.verify_decomposition(seq, dec)
     assert any("overlap" in v for v in rep.violations)
+    # A nested interval overlaps too; the complement is still that of the union.
+    seq = _seq(sh.cyclic(2), [1, 1, 1, 1, 0, 0])
+    dec = sh.Decomposition(
+        intervals=(sh.Interval(1, 5), sh.Interval(2, 3)),
+        uncovered=(6,),
+        coverage=7,
+    )
+    rep = sh.verify_decomposition(seq, dec)
+    assert rep.violations == ("intervals [1,5] and [2,3] overlap.",)
 
 
 def test_verify_flags_out_of_range_and_miscount():
@@ -160,25 +190,31 @@ def test_deterministic_tie_breaking():
 
 
 def test_vectorized_path_matches_reference_exactly():
-    group = sh.build_group(sh.cyclic(17))
     rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randrange(0, 600)
-        elems = [rng.randrange(17) for _ in range(n)]
-        assert _optimal_core_cyclic(17, elems) == \
-            _optimal_core_reference(group.mul_table, elems)
+    specs = (
+        sh.cyclic(17), sh.symmetric(3), sh.dihedral(4),
+        sh.product(sh.cyclic(4), sh.cyclic(4)), sh.symmetric(5),
+    )
+    for spec in specs:
+        group = sh.build_group(spec)
+        for _ in range(40):
+            n = rng.randrange(0, 600)
+            seq = sh.GradeSequence(group, [rng.randrange(group.order) for _ in range(n)])
+            assert _optimal_core_vector(sh.prefix_products(seq), group.order) == \
+                _optimal_core_reference(group.mul_table, seq.elems)
 
 
 def test_vectorized_path_used_above_threshold():
-    group = sh.build_group(sh.cyclic(5))
     rng = np.random.default_rng(2)
-    elems = rng.integers(0, 5, size=6000)
-    seq = sh.GradeSequence(group, elems)
-    dec = sh.decompose_optimal(seq)
-    ivs, cov = _optimal_core_reference(group.mul_table, [int(x) for x in elems])
-    assert dec.coverage == cov
-    assert list(dec.intervals) == ivs
-    assert sh.verify_decomposition(seq, dec).violations == ()
+    for spec, n in ((sh.cyclic(5), 6000), (sh.symmetric(3), 7000)):
+        group = sh.build_group(spec)
+        elems = rng.integers(0, group.order, size=n)
+        seq = sh.GradeSequence(group, elems)
+        dec = sh.decompose_optimal(seq)
+        ivs, cov = _optimal_core_reference(group.mul_table, [int(x) for x in elems])
+        assert dec.coverage == cov
+        assert list(dec.intervals) == ivs
+        assert sh.verify_decomposition(seq, dec).violations == ()
 
 
 def test_numpy_inputs_accepted():
