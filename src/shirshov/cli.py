@@ -214,7 +214,9 @@ def _cmd_verify_base(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     payload = _load_payload(args, required=False)
-    cfg = payload if isinstance(payload, dict) else {}
+    cfg = {} if args.json is None and args.input is None else payload
+    if not isinstance(cfg, dict):
+        raise _CliError(EXIT_BAD_INPUT, f"bench takes a JSON object, got {cfg!r}.")
     group_json = cfg.get("group", {"cyclic": 17})
     n = _int_field("bench", cfg, "n", default=1_000_000, minimum=0)
     trials = _int_field("bench", cfg, "trials", args.trials, default=3, minimum=1)

@@ -3,13 +3,14 @@
 Elements are plain integer indices in ``[0, order)``.  A group is either
 built from one of the canonical families (cyclic, dihedral, symmetric,
 direct product) or from an explicit multiplication table, which is
-validated for the group axioms at construction time.
+validated for the group axioms at construction time.  Every group holds its
+table as one read-only int32 numpy array, ``cayley``.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -29,11 +30,10 @@ __all__ = [
     "spec_to_json",
 ]
 
-# Full O(m^3) associativity sweep up to this order; random sampling above it.
-EXHAUSTIVE_ORDER_LIMIT = 48
-SAMPLED_TRIPLES = 100_000
-
 MAX_SYMMETRIC_DEGREE = 6
+# Largest order a table is made for: 4096^2 int32 entries are 64 MiB, and
+# every flat index a*m + b fits int32.
+MAX_ORDER = 4096
 
 
 @dataclass(frozen=True)
@@ -90,82 +90,62 @@ def table(entries: Sequence[Sequence[int]], names: Sequence[str] | None = None) 
 class FiniteGroup:
     """Immutable Cayley-table group with element 0 as the identity.
 
-    The constructor checks closure, the identity row/column, associativity
-    (exhaustively up to order EXHAUSTIVE_ORDER_LIMIT, by random sampling of
-    SAMPLED_TRIPLES triples above it) and the existence of two-sided
-    inverses, reporting the first violation found.
+    The constructor checks, in this order, the range of every entry, the
+    identity row and column, associativity (exactly, by Light's test) and
+    two-sided inverses, reporting the first violation found.
     """
 
     def __init__(
         self,
-        mul_table: Sequence[Sequence[int]],
+        mul_table: Sequence[Sequence[int]] | np.ndarray,
         names: Sequence[str] | None = None,
         spec: GroupSpec | None = None,
     ):
-        rows = tuple(tuple(row) for row in mul_table)
-        m = len(rows)
+        m = len(mul_table)
         if m == 0:
             raise ValueError("a group has at least one element.")
-        for a, row in enumerate(rows):
+        _check_order(m)
+        for a, row in enumerate(mul_table):
             if len(row) != m:
                 raise ValueError(f"mul_table row {a} has length {len(row)}, expected {m}.")
-            for b, x in enumerate(row):
-                if not isinstance(x, int) or not 0 <= x < m:
-                    raise ValueError(
-                        f"mul_table entry at ({a},{b}) is {x}, outside [0,{m - 1}]."
-                    )
-        for a in range(m):
-            if rows[0][a] != a:
-                raise ValueError(f"identity violated: mul(0,{a}) = {rows[0][a]} != {a}.")
-            if rows[a][0] != a:
-                raise ValueError(f"identity violated: mul({a},0) = {rows[a][0]} != {a}.")
-        self._check_associativity(rows, m)
-
-        inv = [-1] * m
-        for a in range(m):
-            for b in range(m):
-                if rows[a][b] == 0 and rows[b][a] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValueError(f"no two-sided inverse for element {a}.")
-
-        if names is None:
-            names = [f"g{k}" for k in range(m)]
-        names = tuple(names)
+        arr = np.asarray(mul_table)
+        # Entries beyond int64, floats, strings and the like give other dtypes.
+        if arr.ndim != 2 or arr.dtype.kind not in "iu":
+            raise ValueError(f"mul_table entries must be integers in [0,{m - 1}].")
+        bad = np.argwhere((arr < 0) | (arr >= m))
+        if len(bad):
+            a, b = bad[0]
+            raise ValueError(f"mul_table entry at ({a},{b}) is {arr[a, b]}, outside [0,{m - 1}].")
+        cayley = arr.astype(np.int32)
+        elems = np.arange(m)
+        bad = np.flatnonzero((cayley[0] != elems) | (cayley[:, 0] != elems))
+        if len(bad):
+            a = bad[0]
+            if cayley[0, a] != a:
+                raise ValueError(f"identity violated: mul(0,{a}) = {cayley[0, a]} != {a}.")
+            raise ValueError(f"identity violated: mul({a},0) = {cayley[a, 0]} != {a}.")
+        _check_associativity(cayley)
+        # In a finite monoid a b = e forces b a = e, so the first e in row a
+        # is the only candidate.
+        inv = (cayley == 0).argmax(axis=1)
+        bad = np.flatnonzero((cayley[elems, inv] != 0) | (cayley[inv, elems] != 0))
+        if len(bad):
+            raise ValueError(f"no two-sided inverse for element {bad[0]}.")
+        names = tuple(names) if names is not None else tuple(f"g{k}" for k in range(m))
         if len(names) != m:
             raise ValueError(f"got {len(names)} names for {m} elements.")
 
+        cayley.flags.writeable = False
         self.order = m
-        self.mul_table = rows
-        self.inv_table = tuple(inv)
+        self.cayley = cayley
+        self.inv_table = tuple(inv.tolist())
         self.names = names
         self.spec = spec
 
-    @staticmethod
-    def _check_associativity(rows: tuple[tuple[int, ...], ...], m: int) -> None:
-        if m <= EXHAUSTIVE_ORDER_LIMIT:
-            triples: Iterable[tuple[int, int, int]] = itertools.product(range(m), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(m), rng.randrange(m), rng.randrange(m))
-                for _ in range(SAMPLED_TRIPLES)
-            )
-        for a, b, c in triples:
-            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                raise ValueError(f"associativity violated at triple ({a},{b},{c}).")
-
     @cached_property
-    def cayley(self) -> np.ndarray:
-        """The multiplication table as an (order, order) numpy array, built once.
-
-        Its dtype is int32 unless a flat index a*order + b could overflow it;
-        it is read-only.
-        """
-        arr = np.array(self.mul_table, dtype=_index_dtype(self.order))
-        arr.flags.writeable = False
-        return arr
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        """The table as nested tuples of ints, for the scalar paths; built on first use."""
+        return tuple(map(tuple, self.cayley.tolist()))
 
     def id(self) -> int:
         return 0
@@ -204,75 +184,94 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, kind={kind})"
 
 
-def _index_dtype(m: int) -> type:
-    """Smallest of int32/int64 holding every flat Cayley index a*m + b < m*m."""
-    return np.int32 if m * m <= np.iinfo(np.int32).max + 1 else np.int64
+def _check_order(m: int) -> None:
+    if m > MAX_ORDER:
+        raise ValueError(f"group order {m} exceeds the cap of {MAX_ORDER} elements.")
 
 
-def _build_cyclic(n: int) -> FiniteGroup:
-    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
-    names = [str(a) for a in range(n)]
-    return FiniteGroup(rows, names, spec=cyclic(n))
+def _check_associativity(cayley: np.ndarray) -> None:
+    """Light's test: one O(m^2) pass per generator, exact for every triple.
+
+    The s with (a s) c = a (s c) for all a, c are closed under products.  Each
+    generator is the smallest element not yet reached; in a group the reached
+    set is a subgroup, which by Lagrange each generator at least doubles.
+    """
+    m = len(cayley)
+    reached = np.arange(m) == 0
+    count = 1
+    while count < m:
+        s = int(np.argmin(reached))
+        bad = np.flatnonzero(cayley[cayley[:, s]] != np.take(cayley, cayley[s], axis=1))
+        if len(bad):
+            a, c = divmod(int(bad[0]), m)
+            raise ValueError(f"associativity violated at triple ({a},{s},{c}).")
+        reached[s] = True
+        members = np.flatnonzero(reached)
+        while len(members) < m:  # close the reached set under products again
+            reached[cayley[np.ix_(members, members)]] = True
+            if np.count_nonzero(reached) == len(members):
+                break
+            members = np.flatnonzero(reached)
+        if len(members) < 2 * count:
+            raise ValueError(f"not a group: element {s} extends {count} reached elements "
+                             f"to {len(members)}, less than double (Lagrange).")
+        count = len(members)
 
 
-def _build_dihedral(n: int) -> FiniteGroup:
-    # Index i < n is the rotation r^i; index n+i is the reflection s*r^i.
-    # Multiplication follows from r^n = s^2 = e and s*r*s = r^-1.
-    m = 2 * n
-    rows = [[0] * m for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = (i + j) % n                  # r^i * r^j
-            rows[i][n + j] = n + (j - i) % n          # r^i * s r^j = s r^(j-i)
-            rows[n + i][j] = n + (i + j) % n          # s r^i * r^j
-            rows[n + i][n + j] = (j - i) % n          # s r^i * s r^j = r^(j-i)
-    return FiniteGroup(rows, spec=dihedral(n))
+def _table(spec: GroupSpec) -> np.ndarray:
+    """The Cayley table of a family spec, made with whole-array numpy steps."""
+    n = spec.n
+    r = np.arange(n, dtype=np.int32)
+    if spec.kind == "cyclic":
+        return np.add.outer(r, r) % n
+    if spec.kind == "dihedral":
+        # Index i < n is the rotation r^i; index n+i is the reflection s*r^i.
+        # From r^n = s^2 = e and s*r*s = r^-1: r^i * r^j = r^(i+j), r^i * s r^j =
+        # s r^(j-i), s r^i * r^j = s r^(i+j) and s r^i * s r^j = r^(j-i).
+        plus, minus = np.add.outer(r, r) % n, np.subtract.outer(r, r).T % n
+        return np.block([[plus, n + minus], [n + plus, minus]])
+    if spec.kind == "symmetric":
+        # One-line permutations in lexicographic order put the identity first;
+        # read as base-n numerals they increase, so a lookup by numeral gives
+        # each one's index.  The product p*q is i -> p(q(i)).
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int32)
+        weights = [n ** (n - 1 - i) for i in range(n)]
+        index = np.zeros(n ** n, dtype=np.int32)
+        index[perms @ np.array(weights)] = np.arange(len(perms), dtype=np.int32)
+        numerals = np.zeros((len(perms), len(perms)), dtype=np.int32)
+        for i, w in enumerate(weights):
+            numerals += perms[:, perms[:, i]] * w
+        return index[numerals]
+    # A product's pair (a, b) sits at index a*|right| + b, so pairs are in
+    # lexicographic order and (0, 0) is the identity.
+    assert spec.left is not None and spec.right is not None
+    left, right = build_group(spec.left).cayley, build_group(spec.right).cayley
+    m = len(left) * len(right)
+    return ((left * len(right))[:, None, :, None] + right[None, :, None, :]).reshape(m, m)
 
 
-def _build_symmetric(n: int) -> FiniteGroup:
-    # One-line permutations in lexicographic order put the identity first.
-    perms = list(itertools.permutations(range(n)))
-    index = {p: k for k, p in enumerate(perms)}
-    rows = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in perms]
-        for p in perms
-    ]
-    return FiniteGroup(rows, spec=symmetric(n))
-
-
-def _build_product(left: FiniteGroup, right: FiniteGroup, spec: GroupSpec) -> FiniteGroup:
-    # Pair (a, b) sits at index a*|right| + b, so pairs are in lexicographic
-    # order and (0, 0) is the identity.
-    mr = right.order
-    m = left.order * mr
-    lt, rt = left.mul_table, right.mul_table
-    rows = [[0] * m for _ in range(m)]
-    for a1 in range(left.order):
-        for b1 in range(mr):
-            row = rows[a1 * mr + b1]
-            lrow, rrow = lt[a1], rt[b1]
-            for a2 in range(left.order):
-                base = lrow[a2] * mr
-                for b2 in range(mr):
-                    row[a2 * mr + b2] = base + rrow[b2]
-    return FiniteGroup(rows, spec=spec)
+def _order(spec: GroupSpec) -> int:
+    if spec.kind == "product":
+        assert spec.left is not None and spec.right is not None
+        return _order(spec.left) * _order(spec.right)
+    if spec.kind == "symmetric":
+        return math.factorial(spec.n)
+    if spec.kind not in ("cyclic", "dihedral", "table"):
+        raise ValueError(f"unknown group kind {spec.kind!r}.")
+    return 2 * spec.n if spec.kind == "dihedral" else spec.n
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:
-    """Realize a GroupSpec as a validated FiniteGroup."""
-    if spec.kind == "cyclic":
-        return _build_cyclic(spec.n)
-    if spec.kind == "dihedral":
-        return _build_dihedral(spec.n)
-    if spec.kind == "symmetric":
-        return _build_symmetric(spec.n)
-    if spec.kind == "product":
-        assert spec.left is not None and spec.right is not None
-        return _build_product(build_group(spec.left), build_group(spec.right), spec)
+    """Realize a GroupSpec as a validated FiniteGroup.
+
+    An order above MAX_ORDER is rejected before any table is made.
+    """
+    _check_order(_order(spec))
     if spec.kind == "table":
         assert spec.entries is not None
         return FiniteGroup(spec.entries, spec.names, spec=spec)
-    raise ValueError(f"unknown group kind {spec.kind!r}.")
+    names = [str(a) for a in range(spec.n)] if spec.kind == "cyclic" else None
+    return FiniteGroup(_table(spec), names, spec=spec)
 
 
 def spec_from_json(obj: object) -> GroupSpec:
@@ -296,19 +295,19 @@ def spec_from_json(obj: object) -> GroupSpec:
         entries = arg.get("table")
         if not isinstance(entries, list):
             raise ValueError("table spec needs a \"table\" list of rows.")
-        order = arg.get("order", len(entries))
-        if order != len(entries):
-            raise ValueError(
-                f"table spec order {order} does not match {len(entries)} rows."
-            )
+        m = len(entries)
+        order = _as_int(arg.get("order", m), "table spec order")
+        if order != m:
+            raise ValueError(f"table spec order {order} does not match {m} rows.")
         names = arg.get("names")
         if names is not None and (
             not isinstance(names, list) or not all(isinstance(s, str) for s in names)
         ):
             raise ValueError("table spec \"names\" must be a list of strings.")
+        # Checked here, on the parsed JSON, so no entry reaches numpy unchecked.
         for row in entries:
-            if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
-                raise ValueError("table rows must be lists of integers.")
+            if not isinstance(row, list) or not all(type(x) is int and 0 <= x < m for x in row):
+                raise ValueError(f"table rows must be lists of integers in [0,{m - 1}].")
         return table(entries, names)
     raise ValueError(f"unknown group kind {kind!r}.")
 

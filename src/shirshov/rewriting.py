@@ -60,14 +60,29 @@ class StepBudgetExceeded(RuntimeError):
     """Raised when normalize() runs out of rewrite steps."""
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below 3.3e24.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -75,8 +90,8 @@ class PrimeField:
     """Arithmetic in F_p on plain ints in [0, p)."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise ValueError(f"field modulus must be prime, got {p!r}.")
+        if not isinstance(p, int) or p >= 2**64 or not _is_prime(p):
+            raise ValueError(f"field modulus must be a prime below 2^64, got {p!r}.")
         self.p = p
         self.zero = 0
         self.one = 1 % p
@@ -530,8 +545,11 @@ def algebra_from_json(obj: object) -> AlgebraSpec:
         raise ValueError("algebra needs an \"alphabet\" field.")
     alphabet = alphabet_from_json(obj["alphabet"])
     field = field_from_json(obj.get("field", {"prime": DEFAULT_PRIME}))
+    rules_json = obj.get("rules", [])
+    if not isinstance(rules_json, list):
+        raise ValueError(f"algebra \"rules\" must be a list, got {rules_json!r}.")
     rules = []
-    for r in obj.get("rules", []):
+    for r in rules_json:
         if not isinstance(r, dict) or "lhs" not in r or "rhs" not in r:
             raise ValueError(f"rule {r!r} needs \"lhs\" and \"rhs\".")
         lhs = word_from_json(r["lhs"])
@@ -541,7 +559,10 @@ def algebra_from_json(obj: object) -> AlgebraSpec:
         for t in r["rhs"]:
             if not isinstance(t, dict) or "coef" not in t or "word" not in t:
                 raise ValueError(f"rhs term {t!r} needs \"coef\" and \"word\".")
-            rhs.append((word_from_json(t["word"]), field.parse(t["coef"])))
+            coef = t["coef"]
+            if not isinstance(coef, str):
+                raise ValueError(f"coefficient {coef!r} must be a JSON string, e.g. \"2/3\".")
+            rhs.append((word_from_json(t["word"]), field.parse(coef)))
         rules.append(RewriteRule(lhs, tuple(rhs)))
     return AlgebraSpec(alphabet, rules, field)
 

@@ -93,7 +93,8 @@ def enumerate_products(
     """All powered products with count <= h and expansion length <= D.
 
     The result is deterministic: sorted by factor count, then
-    lexicographically by the factor tuples themselves.
+    lexicographically by the factor tuples themselves.  More than ENUM_CAP
+    products raise ValueError before the excess is built.
     """
     if h < 1:
         raise ValueError(f"height must be >= 1, got {h}.")
@@ -116,7 +117,13 @@ def enumerate_products(
             if base == last:
                 continue
             blen = len(base)
-            for exp in range(1, (D - used) // blen + 1):
+            top = (D - used) // blen
+            if len(out) + top > ENUM_CAP:
+                raise ValueError(
+                    f"expansion cap too large: more than {ENUM_CAP} powered products "
+                    f"with height <= {h} and expansion length <= {D}."
+                )
+            for exp in range(1, top + 1):
                 factors = prefix + ((base, exp),)
                 out.append(PoweredProduct(factors))
                 if len(factors) < h:

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, formats, and the exit-code contract."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -364,3 +365,60 @@ def test_module_entry_point_subprocess():
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def _verify_base_payload(algebra):
+    return ("verify-base", "--json",
+            json.dumps({"algebra": algebra, "base": [["x"]], "h": 1, "d": 1}))
+
+
+def _one_rule(coef, field):
+    rule = {"lhs": ["y", "x"], "rhs": [{"coef": coef, "word": ["x", "y"]}]}
+    return {"alphabet": Z2_ALPHABET, "rules": [rule], "field": field}
+
+
+@pytest.mark.parametrize("argv", [
+    _verify_base_payload({"alphabet": Z2_ALPHABET, "rules": 5}),
+    _verify_base_payload({"alphabet": Z2_ALPHABET, "rules": None}),
+    ("bench", "--json", "[5]"),
+    ("bench", "--json", "null"),
+    _verify_base_payload(_one_rule(0.1, {"rationals": True})),
+    _verify_base_payload(_one_rule(1, {"prime": 1000003})),
+    ("decompose", "--json", '{"group": {"table": {"table": [[0,1],[1,false]]}}, "elems": [1]}'),
+    ("decompose", "--json", '{"group": {"table": {"order": true, "table": [[0]]}}, "elems": [0]}'),
+    ("decompose", "--json",
+     '{"group": {"table": {"table": [[0,1],[1,1000000000000000000000000000000]]}}, "elems": [1]}'),
+], ids=["rules-int", "rules-null", "bench-list", "bench-null", "coef-float-q", "coef-int-fp",
+        "table-false-entry", "table-true-order", "table-huge-entry"])
+def test_malformed_payload_shapes_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: ")
+
+
+def test_verify_base_expansion_cap_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr(sh.spanning, "ENUM_CAP", 10)
+    payload = json.dumps({"algebra": FIXTURE_ALGEBRA, "base": [["x"], ["y"]],
+                          "h": 3, "d": 2, "D": 6})
+    code, _, err = run(capsys, "verify-base", "--json", payload)
+    assert code == EXIT_BAD_INPUT
+    assert "expansion cap too large" in err
+
+
+@pytest.mark.parametrize("group", [
+    {"cyclic": 100000},
+    {"product": [{"symmetric": 6}, {"symmetric": 6}]},
+], ids=["cyclic-100000", "s6-x-s6"])
+def test_oversized_group_exits_two_under_memory_limit(group):
+    # A 2 GB address-space limit, as under `ulimit -v 2000000`: the order is
+    # rejected before any table is allocated, so no MemoryError can occur.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "shirshov.cli", "decompose",
+         "--json", json.dumps({"group": group, "elems": [1]})],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+    assert "exceeds the cap of 4096" in proc.stderr

@@ -1,11 +1,15 @@
 """String rewriting to normal forms over exact coefficient fields."""
 
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import shirshov as sh
+from shirshov.rewriting import _is_prime
 
 
 def _z2_alphabet():
@@ -51,6 +55,41 @@ def test_default_prime():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError, match="prime"):
         sh.PrimeField(10)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert [p for p in range(10_000) if _is_prime(p)] == \
+        [p for p in range(10_000) if by_trial_division(p)]
+
+
+def test_prime_field_rejects_pseudoprimes():
+    # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2, and
+    # 3825123056546413051 one to every prime base up to 23.
+    for p in (561, 2047, 2**61 + 1, 3825123056546413051):
+        with pytest.raises(ValueError, match="prime"):
+            sh.PrimeField(p)
+
+
+def test_prime_field_large_moduli_decided_quickly():
+    # In a child with a timeout, since trial division on these takes minutes.
+    # 2^61 - 1 is prime; 2^64 + 13 and 2^89 - 1 are primes at or above 2^64.
+    script = (
+        "import shirshov as sh\n"
+        "assert sh.PrimeField(2**61 - 1).p == 2**61 - 1\n"
+        "for p in (2**64 + 13, 2**89 - 1):\n"
+        "    try:\n"
+        "        sh.PrimeField(p)\n"
+        "    except ValueError as exc:\n"
+        "        assert 'below 2^64' in str(exc)\n"
+        "    else:\n"
+        "        raise SystemExit(f'accepted {p}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=20)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rational_field():

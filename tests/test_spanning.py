@@ -106,6 +106,15 @@ def test_enumerate_products_frees_products_without_cyclic_gc():
         gc.enable()
 
 
+def test_enumerate_products_stops_past_the_cap(monkeypatch):
+    total = len(sh.enumerate_products([("x",), ("y",)], 3, 6))
+    monkeypatch.setattr(sh.spanning, "ENUM_CAP", total)
+    assert len(sh.enumerate_products([("x",), ("y",)], 3, 6)) == total
+    monkeypatch.setattr(sh.spanning, "ENUM_CAP", total - 1)
+    with pytest.raises(ValueError, match="expansion cap too large"):
+        sh.enumerate_products([("x",), ("y",)], 3, 6)
+
+
 def test_enumerate_products_validation():
     with pytest.raises(ValueError):
         sh.enumerate_products([("x",)], 0, 3)
