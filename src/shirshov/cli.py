@@ -72,6 +72,8 @@ def _load_payload(args: argparse.Namespace, required: bool = True) -> Optional[o
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliError(EXIT_BAD_INPUT, f"bad JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _CliError(EXIT_BAD_INPUT, "bad JSON: nested too deeply.") from exc
 
 
 def _int_field(

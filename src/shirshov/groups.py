@@ -4,7 +4,7 @@ Elements are plain integer indices in ``[0, order)``.  A group is either
 built from one of the canonical families (cyclic, dihedral, symmetric,
 direct product) or from an explicit multiplication table, which is
 validated for the group axioms at construction time.  Every group holds its
-table as one read-only int32 numpy array, ``cayley``.
+table as one read-only int32 numpy array, ``cayley``, and nothing else.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,8 +30,8 @@ __all__ = [
 ]
 
 MAX_SYMMETRIC_DEGREE = 6
-# Largest order a table is made for: 4096^2 int32 entries are 64 MiB, and
-# every flat index a*m + b fits int32.
+# Largest order a table is made for: 4096^2 int32 entries are 64 MiB, the
+# group's only table, and every flat index a*m + b fits int32.
 MAX_ORDER = 4096
 
 
@@ -97,25 +96,25 @@ class FiniteGroup:
 
     def __init__(
         self,
-        mul_table: Sequence[Sequence[int]] | np.ndarray,
+        entries: Sequence[Sequence[int]] | np.ndarray,
         names: Sequence[str] | None = None,
         spec: GroupSpec | None = None,
     ):
-        m = len(mul_table)
+        m = len(entries)
         if m == 0:
             raise ValueError("a group has at least one element.")
         _check_order(m)
-        for a, row in enumerate(mul_table):
+        for a, row in enumerate(entries):
             if len(row) != m:
-                raise ValueError(f"mul_table row {a} has length {len(row)}, expected {m}.")
-        arr = np.asarray(mul_table)
+                raise ValueError(f"table row {a} has length {len(row)}, expected {m}.")
+        arr = np.asarray(entries)
         # Entries beyond int64, floats, strings and the like give other dtypes.
         if arr.ndim != 2 or arr.dtype.kind not in "iu":
-            raise ValueError(f"mul_table entries must be integers in [0,{m - 1}].")
+            raise ValueError(f"table entries must be integers in [0,{m - 1}].")
         bad = np.argwhere((arr < 0) | (arr >= m))
         if len(bad):
             a, b = bad[0]
-            raise ValueError(f"mul_table entry at ({a},{b}) is {arr[a, b]}, outside [0,{m - 1}].")
+            raise ValueError(f"table entry at ({a},{b}) is {arr[a, b]}, outside [0,{m - 1}].")
         cayley = arr.astype(np.int32)
         elems = np.arange(m)
         bad = np.flatnonzero((cayley[0] != elems) | (cayley[:, 0] != elems))
@@ -142,11 +141,6 @@ class FiniteGroup:
         self.names = names
         self.spec = spec
 
-    @cached_property
-    def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        """The table as nested tuples of ints, for the scalar paths; built on first use."""
-        return tuple(map(tuple, self.cayley.tolist()))
-
     def id(self) -> int:
         return 0
 
@@ -160,7 +154,7 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         self._check_index(a)
         self._check_index(b)
-        return self.mul_table[a][b]
+        return self.cayley.item(a, b)
 
     def inverse(self, a: int) -> int:
         self._check_index(a)
@@ -169,10 +163,10 @@ class FiniteGroup:
     def prod(self, elems: Iterable[int]) -> int:
         """Left-to-right product of a sequence of elements (identity if empty)."""
         acc = 0
-        tab = self.mul_table
+        tab = memoryview(self.cayley)
         for g in elems:
             self._check_index(g)
-            acc = tab[acc][g]
+            acc = tab[acc, g]
         return acc
 
     def name_of(self, a: int) -> str:

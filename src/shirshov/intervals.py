@@ -15,7 +15,7 @@ positions stay uncovered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def decompose_optimal(seq: GradeSequence) -> Decomposition:
     if n >= _VECTOR_RATIO * m:
         intervals, coverage = _optimal_core_vector(prefix_products(seq), m)
     else:
-        intervals, coverage = _optimal_core_reference(seq.group.mul_table, seq.elems)
+        intervals, coverage = _optimal_core_reference(seq.group.cayley, seq.elems)
     return Decomposition(
         intervals=tuple(intervals),
         uncovered=tuple(_complement(intervals, n)),
@@ -162,24 +162,25 @@ def decompose_optimal(seq: GradeSequence) -> Decomposition:
 
 
 def _optimal_core_reference(
-    table: tuple[tuple[int, ...], ...], elems: Iterable[int]
+    cayley: np.ndarray, elems: Sequence[int] | np.ndarray
 ) -> tuple[list[Interval], int]:
     # phi[i] = (best coverage of the first i positions) - i, a value in
     # [-(|G|-1), 0]; best_val[v] = max phi[j] over prefixes j with f(j) = v,
     # best_j[v] the earliest j attaining it.
-    m = len(table)
+    m = len(cayley)
+    table = memoryview(cayley)
     neg = -(1 << 60)
     best_val = [neg] * m
     best_j = [0] * m
     best_val[0] = 0
-    elems = list(elems)
+    elems = elems.tolist() if isinstance(elems, np.ndarray) else list(elems)
     n = len(elems)
     phi = [0] * (n + 1)
     choice = [0] * (n + 1)  # 0 = position skipped, else j + 1
     f = 0
     prev_phi = 0
     for i in range(1, n + 1):
-        f = table[f][elems[i - 1]]
+        f = table[f, elems[i - 1]]
         cand = best_val[f]
         skip = prev_phi - 1
         if cand >= skip:
@@ -285,7 +286,7 @@ def decompose_bruteforce(seq: GradeSequence) -> Decomposition:
     n = len(seq)
     if n > ORACLE_LIMIT:
         raise ValueError(f"oracle limit exceeded: n={n} > {ORACLE_LIMIT}.")
-    table = seq.group.mul_table
+    table = memoryview(seq.group.cayley)
     elems = tuple(seq.elems)
     memo: dict[int, int] = {n + 1: 0}
 
@@ -296,7 +297,7 @@ def decompose_bruteforce(seq: GradeSequence) -> Decomposition:
         out = rec(i + 1)
         acc = 0
         for j in range(i, n + 1):
-            acc = table[acc][elems[j - 1]]
+            acc = table[acc, elems[j - 1]]
             if acc == 0:
                 cand = (j - i + 1) + rec(j + 1)
                 if cand > out:
@@ -314,7 +315,7 @@ def decompose_bruteforce(seq: GradeSequence) -> Decomposition:
             continue
         acc = 0
         for j in range(i, n + 1):
-            acc = table[acc][elems[j - 1]]
+            acc = table[acc, elems[j - 1]]
             if acc == 0 and (j - i + 1) + rec(j + 1) == target:
                 intervals.append(Interval(i, j))
                 i = j + 1
@@ -396,13 +397,13 @@ def decomposition_from_json(obj: object) -> Decomposition:
     unc = obj.get("uncovered")
     cov = obj.get("coverage")
     if not isinstance(ivs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
         for p in ivs
     ):
         raise ValueError("\"intervals\" must be a list of [start, end] pairs.")
-    if not isinstance(unc, list) or not all(isinstance(x, int) for x in unc):
+    if not isinstance(unc, list) or not all(type(x) is int for x in unc):
         raise ValueError("\"uncovered\" must be a list of positions.")
-    if not isinstance(cov, int):
+    if type(cov) is not int:
         raise ValueError("\"coverage\" must be an integer.")
     return Decomposition(
         intervals=tuple(Interval(a, b) for a, b in ivs),

@@ -12,9 +12,12 @@ rationals and ordinary Gaussian elimination over F_p.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .rewriting import (
     AlgebraSpec,
@@ -93,8 +96,8 @@ def enumerate_products(
     """All powered products with count <= h and expansion length <= D.
 
     The result is deterministic: sorted by factor count, then
-    lexicographically by the factor tuples themselves.  More than ENUM_CAP
-    products raise ValueError before the excess is built.
+    lexicographically by the factor tuples themselves.  The products are
+    counted first: more than ENUM_CAP raise ValueError before any is built.
     """
     if h < 1:
         raise ValueError(f"height must be >= 1, got {h}.")
@@ -107,6 +110,11 @@ def enumerate_products(
             raise ValueError("base words must be nonempty.")
         if w not in uniq:
             uniq.append(w)
+    if _count_products([len(w) for w in uniq], h, D) > ENUM_CAP:
+        raise ValueError(
+            f"expansion cap too large: more than {ENUM_CAP} powered products "
+            f"with height <= {h} and expansion length <= {D}."
+        )
 
     out: list[PoweredProduct] = []
     # Partial products still to extend: (factors, expansion length, last base).
@@ -117,19 +125,50 @@ def enumerate_products(
             if base == last:
                 continue
             blen = len(base)
-            top = (D - used) // blen
-            if len(out) + top > ENUM_CAP:
-                raise ValueError(
-                    f"expansion cap too large: more than {ENUM_CAP} powered products "
-                    f"with height <= {h} and expansion length <= {D}."
-                )
-            for exp in range(1, top + 1):
+            for exp in range(1, (D - used) // blen + 1):
                 factors = prefix + ((base, exp),)
                 out.append(PoweredProduct(factors))
                 if len(factors) < h:
                     stack.append((factors, used + blen * exp, base))
     out.sort(key=lambda p: (p.count, p.factors))
     return out
+
+
+def _count_products(lengths: Sequence[int], h: int, D: int) -> int:
+    """How many products enumerate_products builds, clipped at ENUM_CAP + 1.
+
+    The count depends only on the base lengths, so bases of one length share
+    a row: ends[l][L] counts the products of j factors that end in a given
+    base of length l and expand to exactly L letters.  Below the clip every
+    entry is exact; an entry reaching it means the total is past ENUM_CAP,
+    which ends the count.
+    """
+    clip = ENUM_CAP + 1
+    single = sum(D // l for l in lengths)
+    if single >= clip or h == 1 or len(lengths) < 2:
+        return min(single, clip)
+    # Products p^a q^b and q^a p^b of the two shortest bases bound D, and with
+    # it the arrays below, before they are made.
+    p, q = sorted(lengths)[:2]
+    if single + 2 * int(((D - q * np.arange(1, (D - p) // q + 1)) // p).sum()) >= clip:
+        return clip
+    sizes = Counter(lengths)
+    ends = {l: np.zeros(D + 1, dtype=np.int64) for l in sizes}
+    every = np.zeros(D + 1, dtype=np.int64)  # products of j factors by length
+    every[0] = 1  # the empty product, which any base may extend
+    total = 0
+    for _ in range(min(h, D // p)):  # no product has more than D // p factors
+        for l in sizes:
+            # Extend every product not ending in this base by base^e, e >= 1:
+            # a cumulative sum along stride l, shifted by l.
+            ext = np.zeros(-(-(D + 1 + l) // l) * l, dtype=np.int64)
+            ext[l : l + D + 1] = every - ends[l]
+            ends[l] = np.minimum(ext.reshape(-1, l).cumsum(axis=0).ravel()[: D + 1], clip)
+        every = sum(c * ends[l] for l, c in sizes.items())
+        total += sum(c * int(ends[l].sum()) for l, c in sizes.items())
+        if total >= clip:
+            return clip
+    return total
 
 
 class RowEchelon:

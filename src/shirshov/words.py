@@ -101,10 +101,10 @@ class Factorization:
 
 def grade_of(alphabet: GradedAlphabet, word: Sequence[str]) -> int:
     """Product of the letter grades of a word (identity for the empty word)."""
-    table = alphabet.group.mul_table
+    table = memoryview(alphabet.group.cayley)
     acc = 0
     for sym in word:
-        acc = table[acc][alphabet.grade(sym)]
+        acc = table[acc, alphabet.grade(sym)]
     return acc
 
 
@@ -267,7 +267,7 @@ def factorization_from_json(obj: object) -> Factorization:
             or s.get("tag") not in ("A", "Y")
             or not isinstance(s.get("span"), list)
             or len(s["span"]) != 2
-            or not all(isinstance(x, int) for x in s["span"])
+            or not all(type(x) is int for x in s["span"])
         ):
             raise ValueError(f"segment {s!r} needs a tag and a [start, end] span.")
         segs.append(Segment(s["tag"], s["span"][0], s["span"][1]))

@@ -107,6 +107,14 @@ def test_input_file_variant(tmp_path, capsys):
     assert doc["coverage"] == 2
 
 
+def test_deeply_nested_input_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "decompose", "--input", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err == "error: bad JSON: nested too deeply.\n"
+
+
 def test_input_and_json_together_rejected(capsys):
     code, _, err = run(
         capsys, "decompose", "--input", "whatever.json", "--json", "{}"
@@ -422,3 +430,20 @@ def test_oversized_group_exits_two_under_memory_limit(group):
     )
     assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
     assert "exceeds the cap of 4096" in proc.stderr
+
+
+def test_largest_group_decomposes_under_memory_limit():
+    # An 800 MB address-space limit, as under `ulimit -v 800000`: a group of
+    # order MAX_ORDER holds one int32 table, which the scalar path reads in
+    # place.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (800_000 * 1024,) * 2)
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "shirshov.cli", "decompose",
+         "--json", json.dumps({"group": {"cyclic": 4096}, "elems": [1]})],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout) == {"intervals": [], "uncovered": [1], "coverage": 0,
+                                       "bound_ok": True}

@@ -1,5 +1,6 @@
 """Construction and validation of finite groups as multiplication tables."""
 
+import functools
 import itertools
 import random
 import re
@@ -174,7 +175,6 @@ def test_spec_json_rejects_garbage():
 
 def test_cayley_array_matches_table():
     g = sh.build_group(sh.symmetric(4))
-    assert g.cayley.tolist() == [list(row) for row in g.mul_table]
     assert g.cayley.dtype == np.int32
     assert g.cayley is g.cayley
     with pytest.raises(ValueError):
@@ -236,7 +236,7 @@ def test_cayley_matches_definition():
 def test_intercalate_swap_in_s6_rejected_with_a_true_witness():
     # Swapping the two values of a 2x2 Latin subsquare keeps every row and
     # column a permutation, but the table is no longer associative.
-    rows = [list(row) for row in sh.build_group(sh.symmetric(6)).mul_table]
+    rows = sh.build_group(sh.symmetric(6)).cayley.tolist()
     x, y = rows[601][203], rows[601][525]
     assert (rows[718][525], rows[718][203]) == (x, y)
     rows[601][203] = rows[718][525] = y
@@ -281,7 +281,7 @@ def test_light_test_agrees_with_exhaustive_check():
                                               for a in range(1, m)])
     for spec in (sh.cyclic(8), sh.dihedral(4), sh.product(sh.cyclic(2), sh.cyclic(4)),
                  sh.product(sh.cyclic(2), sh.product(sh.cyclic(2), sh.cyclic(2)))):
-        base = sh.build_group(spec).mul_table
+        base = sh.build_group(spec).cayley.tolist()
         for _ in range(5):
             perm = [0] + rng.sample(range(1, 8), 7)
             inv = {p: k for k, p in enumerate(perm)}
@@ -301,11 +301,16 @@ def test_non_group_monoids_rejected():
         sh.build_group(sh.table([[0, 1], [1, 1]]))
 
 
-def test_mul_table_is_derived_lazily():
+def test_group_holds_one_table():
     g = sh.build_group(sh.symmetric(5))
-    assert "mul_table" not in vars(g)
-    assert g.mul(3, 7) == int(g.cayley[3, 7])
-    assert g.mul_table is g.mul_table
+    assert not hasattr(g, "mul_table")
+    assert [k for k, v in vars(g).items() if isinstance(v, np.ndarray)] == ["cayley"]
+    rows = g.cayley.tolist()
+    assert all(type(g.mul(a, b)) is int and g.mul(a, b) == rows[a][b]
+               for a in range(g.order) for b in range(g.order))
+    word = [7, 3, 119, 0, 42, 7]
+    assert g.prod(word) == functools.reduce(lambda a, b: rows[a][b], word, 0)
+    assert type(g.prod(word)) is int
 
 
 def test_spec_json_table_entries_are_true_ints():

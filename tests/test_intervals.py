@@ -27,7 +27,7 @@ def test_prefix_products_match_left_fold():
     specs = (
         sh.cyclic(17), sh.dihedral(4), sh.symmetric(4),
         sh.product(sh.symmetric(3), sh.cyclic(4)),
-        sh.table(sh.build_group(sh.symmetric(3)).mul_table),
+        sh.table(sh.build_group(sh.symmetric(3)).cayley.tolist()),
     )
     for spec in specs:
         group = sh.build_group(spec)
@@ -201,7 +201,7 @@ def test_vectorized_path_matches_reference_exactly():
             n = rng.randrange(0, 600)
             seq = sh.GradeSequence(group, [rng.randrange(group.order) for _ in range(n)])
             assert _optimal_core_vector(sh.prefix_products(seq), group.order) == \
-                _optimal_core_reference(group.mul_table, seq.elems)
+                _optimal_core_reference(group.cayley, seq.elems)
 
 
 def test_vectorized_path_used_above_threshold():
@@ -211,7 +211,7 @@ def test_vectorized_path_used_above_threshold():
         elems = rng.integers(0, group.order, size=n)
         seq = sh.GradeSequence(group, elems)
         dec = sh.decompose_optimal(seq)
-        ivs, cov = _optimal_core_reference(group.mul_table, [int(x) for x in elems])
+        ivs, cov = _optimal_core_reference(group.cayley, [int(x) for x in elems])
         assert dec.coverage == cov
         assert list(dec.intervals) == ivs
         assert sh.verify_decomposition(seq, dec).violations == ()
@@ -240,3 +240,13 @@ def test_decomposition_json_round_trip():
     assert sh.decomposition_from_json(doc) == dec
     with pytest.raises(ValueError):
         sh.decomposition_from_json({"intervals": [[1]], "uncovered": [], "coverage": 0})
+
+
+@pytest.mark.parametrize("doc", [
+    {"intervals": [[True, 2]], "uncovered": [], "coverage": 2},
+    {"intervals": [[1, 2]], "uncovered": [False], "coverage": 2},
+    {"intervals": [], "uncovered": [], "coverage": False},
+], ids=["interval-bool", "uncovered-bool", "coverage-bool"])
+def test_decomposition_json_rejects_booleans(doc):
+    with pytest.raises(ValueError):
+        sh.decomposition_from_json(doc)

@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 import shirshov as sh
+from shirshov.spanning import _count_products
 
 
 def _z2_alphabet():
@@ -113,6 +114,34 @@ def test_enumerate_products_stops_past_the_cap(monkeypatch):
     monkeypatch.setattr(sh.spanning, "ENUM_CAP", total - 1)
     with pytest.raises(ValueError, match="expansion cap too large"):
         sh.enumerate_products([("x",), ("y",)], 3, 6)
+
+
+def test_product_count_matches_enumeration():
+    rng = random.Random(11)
+    for _ in range(300):
+        bases = [tuple(rng.choice("xyz") for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 4))]
+        h, D = rng.randint(1, 4), rng.randint(1, 12)
+        lengths = [len(w) for w in dict.fromkeys(bases)]
+        assert _count_products(lengths, h, D) == len(sh.enumerate_products(bases, h, D)), \
+            (bases, h, D)
+    assert _count_products([], 3, 5) == len(sh.enumerate_products([], 3, 5)) == 0
+    # Past D factors no product fits, so a huge height costs nothing extra.
+    assert _count_products([1, 1], 10 ** 9, 5) == \
+        len(sh.enumerate_products([("x",), ("y",)], 10 ** 9, 5))
+
+
+def test_enumerate_products_builds_nothing_past_the_cap(monkeypatch):
+    built = []
+    monkeypatch.setattr(sh.spanning, "PoweredProduct", built.append)
+    monkeypatch.setattr(sh.spanning, "ENUM_CAP", 10)
+    with pytest.raises(ValueError, match="expansion cap too large"):
+        sh.enumerate_products([("x",), ("y",)], 3, 6)
+    assert built == []
+    # The default cap decides the large case from the counts alone.
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="expansion cap too large"):
+        sh.enumerate_products([("x",), ("y",)], 3, 100_000)
 
 
 def test_enumerate_products_validation():

@@ -208,3 +208,9 @@ def test_factorization_json_round_trip():
     assert sh.factorization_from_json(doc) == fact
     with pytest.raises(ValueError):
         sh.factorization_from_json([{"tag": "B", "span": [1, 1]}])
+
+
+def test_factorization_json_rejects_booleans():
+    for span in ([True, 2], [1, False]):
+        with pytest.raises(ValueError, match="span"):
+            sh.factorization_from_json([{"tag": "A", "span": span}])
