@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _wire
 from .groups import build_group, spec_from_json, spec_to_json
 from .intervals import (
     GradeSequence,
@@ -87,23 +88,19 @@ def _int_field(
 ) -> Optional[int]:
     """An integer from the --flag, else the payload field, else the default.
 
-    JSON null counts as absent.  bool is an int subclass, so it is rejected
-    by name, like float and string.
+    JSON null counts as absent.
     """
     value = flag if flag is not None else payload.get(name)
     if value is None and not required:
         return default
-    if (
-        not isinstance(value, int)
-        or isinstance(value, bool)
-        or (minimum is not None and value < minimum)
-    ):
+    try:
+        return _wire.integer(value, name, lo=minimum)
+    except ValueError:
         at_least = f" >= {minimum}" if minimum is not None else ""
         raise _CliError(
             EXIT_BAD_INPUT,
             f"{command} needs integer \"{name}\"{at_least}, got {value!r}.",
-        )
-    return value
+        ) from None
 
 
 def _emit(doc: object, lines: list[str], fmt: str) -> None:
@@ -137,9 +134,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
     payload = _load_payload(args)
-    if not isinstance(payload, dict) or "alphabet" not in payload or "word" not in payload:
-        raise _CliError(EXIT_BAD_INPUT, "factorize needs \"alphabet\" and \"word\" fields.")
     try:
+        payload = _wire.fields(payload, "factorize payload", required=("alphabet", "word"),
+                               optional=("h",))
+        h = _int_field("factorize", payload, "h", args.h, minimum=1)
         alphabet = alphabet_from_json(payload["alphabet"])
         word = word_from_json(payload["word"])
         fact = factorize(alphabet, word)
@@ -154,7 +152,6 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
         "segments: " + (" ".join(f"{s.tag}[{s.start},{s.end}]" for s in fact.segments) or "(empty)"),
         f"k = {fact.k}, y letters = {fact.y_total}",
     ]
-    h = _int_field("factorize", payload, "h", args.h, minimum=1)
     if h is not None:
         count = power_count(fact, h)
         bound = height_bound(h, alphabet.group.order)
@@ -169,26 +166,17 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 def _cmd_verify_base(args: argparse.Namespace) -> int:
     payload = _load_payload(args)
-    if not isinstance(payload, dict) or "algebra" not in payload or "base" not in payload:
-        raise _CliError(EXIT_BAD_INPUT, "verify-base needs \"algebra\" and \"base\" fields.")
-    h = _int_field("verify-base", payload, "h", args.h, required=True)
-    d = _int_field("verify-base", payload, "d", args.d, required=True)
-    D = _int_field("verify-base", payload, "D", args.D)  # None: the cap is 2*d
-    graded = payload.get("graded", False)
-    if not isinstance(graded, bool):
-        raise _CliError(
-            EXIT_BAD_INPUT, f"verify-base needs boolean \"graded\", got {graded!r}."
-        )
-    graded = graded or args.graded
-    if not isinstance(payload["base"], list):
-        raise _CliError(EXIT_BAD_INPUT, "\"base\" must be a list of words.")
     try:
+        payload = _wire.fields(payload, "verify-base payload", required=("algebra", "base"),
+                               optional=("h", "d", "D", "graded"))
+        h = _int_field("verify-base", payload, "h", args.h, required=True)
+        d = _int_field("verify-base", payload, "d", args.d, required=True)
+        D = _int_field("verify-base", payload, "D", args.D)  # None: the cap is 2*d
+        graded = _wire.boolean(payload.get("graded", False), '"graded"') or args.graded
         spec = algebra_from_json(payload["algebra"])
-        base = [word_from_json(w) for w in payload["base"]]
+        base = [word_from_json(w) for w in _wire.array(payload["base"], '"base"')]
         check = check_graded_theorem if graded else is_shirshov_base
         report = check(spec, base, h, d, D, step_budget=args.steps)
-    except StepBudgetExceeded as exc:
-        raise _CliError(EXIT_BUDGET, str(exc)) from exc
     except ValueError as exc:
         raise _CliError(EXIT_BAD_INPUT, str(exc)) from exc
     lines = [
@@ -217,13 +205,12 @@ def _cmd_verify_base(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     payload = _load_payload(args, required=False)
     cfg = {} if args.json is None and args.input is None else payload
-    if not isinstance(cfg, dict):
-        raise _CliError(EXIT_BAD_INPUT, f"bench takes a JSON object, got {cfg!r}.")
-    group_json = cfg.get("group", {"cyclic": 17})
-    n = _int_field("bench", cfg, "n", default=1_000_000, minimum=0)
-    trials = _int_field("bench", cfg, "trials", args.trials, default=3, minimum=1)
-    seed = _int_field("bench", cfg, "seed", args.seed, default=0, minimum=0)
     try:
+        cfg = _wire.fields(cfg, "bench payload", optional=("group", "n", "trials", "seed"))
+        group_json = cfg.get("group", {"cyclic": 17})
+        n = _int_field("bench", cfg, "n", default=1_000_000, minimum=0)
+        trials = _int_field("bench", cfg, "trials", args.trials, default=3, minimum=1)
+        seed = _int_field("bench", cfg, "seed", args.seed, default=0, minimum=0)
         group = build_group(spec_from_json(group_json))
     except ValueError as exc:
         raise _CliError(EXIT_BAD_INPUT, str(exc)) from exc

@@ -16,6 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import _wire
+
 __all__ = [
     "GroupSpec",
     "FiniteGroup",
@@ -274,35 +276,28 @@ def spec_from_json(obj: object) -> GroupSpec:
         raise ValueError(f"a group spec is a one-key object, got {obj!r}.")
     (kind, arg), = obj.items()
     if kind == "cyclic":
-        return cyclic(_as_int(arg, "cyclic order"))
+        return cyclic(_wire.integer(arg, "cyclic order"))
     if kind == "dihedral":
-        return dihedral(_as_int(arg, "dihedral degree"))
+        return dihedral(_wire.integer(arg, "dihedral degree"))
     if kind == "symmetric":
-        return symmetric(_as_int(arg, "symmetric degree"))
+        return symmetric(_wire.integer(arg, "symmetric degree"))
     if kind == "product":
-        if not isinstance(arg, list) or len(arg) != 2:
-            raise ValueError(f"product takes a two-element list of specs, got {arg!r}.")
-        return product(spec_from_json(arg[0]), spec_from_json(arg[1]))
+        left, right = _wire.array(arg, '"product"', length=2)
+        return product(spec_from_json(left), spec_from_json(right))
     if kind == "table":
-        if not isinstance(arg, dict):
-            raise ValueError(f"table spec must be an object, got {arg!r}.")
-        entries = arg.get("table")
-        if not isinstance(entries, list):
-            raise ValueError("table spec needs a \"table\" list of rows.")
-        m = len(entries)
-        order = _as_int(arg.get("order", m), "table spec order")
+        arg = _wire.fields(arg, "table spec", required=("table",), optional=("order", "names"))
+        rows = _wire.array(arg["table"], '"table"')
+        m = len(rows)
+        order = _wire.integer(arg.get("order", m), "table spec order")
         if order != m:
             raise ValueError(f"table spec order {order} does not match {m} rows.")
         names = arg.get("names")
-        if names is not None and (
-            not isinstance(names, list) or not all(isinstance(s, str) for s in names)
-        ):
-            raise ValueError("table spec \"names\" must be a list of strings.")
+        if names is not None:
+            _wire.array(names, '"names"', item=_wire.string)
         # Checked here, on the parsed JSON, so no entry reaches numpy unchecked.
-        for row in entries:
-            if not isinstance(row, list) or not all(type(x) is int and 0 <= x < m for x in row):
-                raise ValueError(f"table rows must be lists of integers in [0,{m - 1}].")
-        return table(entries, names)
+        for r in rows:
+            _wire.array(r, "table row", lambda x, what: _wire.integer(x, what, 0, m - 1), m)
+        return table(rows, names)
     raise ValueError(f"unknown group kind {kind!r}.")
 
 
@@ -321,8 +316,3 @@ def spec_to_json(spec: GroupSpec) -> dict:
         return {"table": out}
     raise ValueError(f"unknown group kind {spec.kind!r}.")
 
-
-def _as_int(x: object, what: str) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"{what} must be an integer, got {x!r}.")
-    return x

@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _wire
 from .groups import FiniteGroup, build_group, spec_from_json, spec_to_json
 
 __all__ = [
@@ -370,15 +371,9 @@ def verify_decomposition(seq: GradeSequence, dec: Decomposition) -> Decompositio
 
 def sequence_from_json(obj: object) -> GradeSequence:
     """Parse {"group": spec, "elems": [...]} into a validated GradeSequence."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"sequence must be an object, got {obj!r}.")
-    if "group" not in obj or "elems" not in obj:
-        raise ValueError("sequence needs \"group\" and \"elems\" fields.")
+    obj = _wire.fields(obj, "sequence", required=("group", "elems"))
     group = build_group(spec_from_json(obj["group"]))
-    elems = obj["elems"]
-    if not isinstance(elems, list):
-        raise ValueError("\"elems\" must be a list of element indices.")
-    return GradeSequence(group, elems)
+    return GradeSequence(group, _wire.array(obj["elems"], '"elems"'))
 
 
 def sequence_to_json(seq: GradeSequence) -> dict:
@@ -391,24 +386,15 @@ def sequence_to_json(seq: GradeSequence) -> dict:
 
 
 def decomposition_from_json(obj: object) -> Decomposition:
-    if not isinstance(obj, dict):
-        raise ValueError(f"decomposition must be an object, got {obj!r}.")
-    ivs = obj.get("intervals")
-    unc = obj.get("uncovered")
-    cov = obj.get("coverage")
-    if not isinstance(ivs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
-        for p in ivs
-    ):
-        raise ValueError("\"intervals\" must be a list of [start, end] pairs.")
-    if not isinstance(unc, list) or not all(type(x) is int for x in unc):
-        raise ValueError("\"uncovered\" must be a list of positions.")
-    if type(cov) is not int:
-        raise ValueError("\"coverage\" must be an integer.")
+    """Parse decomposition_to_json's output; decompose's "bound_ok" is allowed."""
+    obj = _wire.fields(obj, "decomposition", required=("intervals", "uncovered", "coverage"),
+                       optional=("bound_ok",))
+    _wire.boolean(obj.get("bound_ok", False), '"bound_ok"')
     return Decomposition(
-        intervals=tuple(Interval(a, b) for a, b in ivs),
-        uncovered=tuple(unc),
-        coverage=cov,
+        intervals=tuple(Interval(*_wire.array(p, "interval", _wire.integer, 2))
+                        for p in _wire.array(obj["intervals"], '"intervals"')),
+        uncovered=tuple(_wire.array(obj["uncovered"], '"uncovered"', _wire.integer)),
+        coverage=_wire.integer(obj["coverage"], '"coverage"'),
     )
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import _wire
 from .words import (
     GradedAlphabet,
     Word,
@@ -175,10 +176,11 @@ class RationalField:
 
 
 def field_from_json(obj: object):
-    if isinstance(obj, dict):
-        if set(obj) == {"prime"}:
-            return PrimeField(obj["prime"])
-        if set(obj) == {"rationals"} and obj["rationals"] is True:
+    obj = _wire.fields(obj, "field", optional=("prime", "rationals"))
+    if len(obj) == 1:
+        if "prime" in obj:
+            return PrimeField(_wire.integer(obj["prime"], "field modulus"))
+        if _wire.boolean(obj["rationals"], '"rationals"'):
             return RationalField()
     raise ValueError(f"field must be {{\"prime\": p}} or {{\"rationals\": true}}, got {obj!r}.")
 
@@ -541,29 +543,18 @@ def normalize(
 
 def algebra_from_json(obj: object) -> AlgebraSpec:
     """Parse {"alphabet": ..., "rules": [...], "field": ...}."""
-    if not isinstance(obj, dict) or "alphabet" not in obj:
-        raise ValueError("algebra needs an \"alphabet\" field.")
+    obj = _wire.fields(obj, "algebra", required=("alphabet",), optional=("rules", "field"))
     alphabet = alphabet_from_json(obj["alphabet"])
     field = field_from_json(obj.get("field", {"prime": DEFAULT_PRIME}))
-    rules_json = obj.get("rules", [])
-    if not isinstance(rules_json, list):
-        raise ValueError(f"algebra \"rules\" must be a list, got {rules_json!r}.")
     rules = []
-    for r in rules_json:
-        if not isinstance(r, dict) or "lhs" not in r or "rhs" not in r:
-            raise ValueError(f"rule {r!r} needs \"lhs\" and \"rhs\".")
-        lhs = word_from_json(r["lhs"])
-        if not isinstance(r["rhs"], list):
-            raise ValueError("rule \"rhs\" must be a list of terms.")
+    for r in _wire.array(obj.get("rules", []), 'algebra "rules"'):
+        r = _wire.fields(r, "rule", required=("lhs", "rhs"))
         rhs = []
-        for t in r["rhs"]:
-            if not isinstance(t, dict) or "coef" not in t or "word" not in t:
-                raise ValueError(f"rhs term {t!r} needs \"coef\" and \"word\".")
-            coef = t["coef"]
-            if not isinstance(coef, str):
-                raise ValueError(f"coefficient {coef!r} must be a JSON string, e.g. \"2/3\".")
-            rhs.append((word_from_json(t["word"]), field.parse(coef)))
-        rules.append(RewriteRule(lhs, tuple(rhs)))
+        for t in _wire.array(r["rhs"], 'rule "rhs"'):
+            t = _wire.fields(t, "rhs term", required=("coef", "word"))
+            coef = field.parse(_wire.string(t["coef"], "coefficient"))
+            rhs.append((word_from_json(t["word"]), coef))
+        rules.append(RewriteRule(word_from_json(r["lhs"]), tuple(rhs)))
     return AlgebraSpec(alphabet, rules, field)
 
 

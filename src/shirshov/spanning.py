@@ -284,6 +284,8 @@ def _irreducible_words(
     layer: list[Word] = [()]
     count = 0
     for _ in range(d):
+        if not layer:  # no longer word is irreducible either
+            break
         grown: list[Word] = []
         for w in layer:
             for sym in symbols:

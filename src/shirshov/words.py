@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from . import _wire
 from .groups import FiniteGroup, build_group, spec_from_json, spec_to_json
 from .intervals import GradeSequence, decompose_optimal
 
@@ -224,19 +225,12 @@ def verify_factorization(
 
 def alphabet_from_json(obj: object) -> GradedAlphabet:
     """Parse {"group": spec, "generators": [{"sym": ..., "grade": ...}, ...]}."""
-    if not isinstance(obj, dict) or "group" not in obj or "generators" not in obj:
-        raise ValueError("alphabet needs \"group\" and \"generators\" fields.")
+    obj = _wire.fields(obj, "alphabet", required=("group", "generators"))
     group = build_group(spec_from_json(obj["group"]))
-    gens = obj["generators"]
-    if not isinstance(gens, list):
-        raise ValueError("\"generators\" must be a list.")
     pairs = []
-    for g in gens:
-        if not isinstance(g, dict) or "sym" not in g or "grade" not in g:
-            raise ValueError(f"generator {g!r} needs \"sym\" and \"grade\".")
-        if not isinstance(g["sym"], str):
-            raise ValueError(f"generator symbol {g['sym']!r} must be a string.")
-        pairs.append((g["sym"], g["grade"]))
+    for g in _wire.array(obj["generators"], '"generators"'):
+        g = _wire.fields(g, "generator", required=("sym", "grade"))
+        pairs.append((_wire.string(g["sym"], "generator symbol"), g["grade"]))
     return GradedAlphabet(group, pairs)
 
 
@@ -252,25 +246,16 @@ def alphabet_to_json(alphabet: GradedAlphabet) -> dict:
 
 
 def word_from_json(obj: object) -> Word:
-    if not isinstance(obj, list) or not all(isinstance(s, str) for s in obj):
-        raise ValueError(f"a word is a list of symbol strings, got {obj!r}.")
-    return tuple(obj)
+    return tuple(_wire.array(obj, "word", _wire.string))
 
 
 def factorization_from_json(obj: object) -> Factorization:
-    if not isinstance(obj, list):
-        raise ValueError("a factorization is a list of segments.")
     segs = []
-    for s in obj:
-        if (
-            not isinstance(s, dict)
-            or s.get("tag") not in ("A", "Y")
-            or not isinstance(s.get("span"), list)
-            or len(s["span"]) != 2
-            or not all(type(x) is int for x in s["span"])
-        ):
-            raise ValueError(f"segment {s!r} needs a tag and a [start, end] span.")
-        segs.append(Segment(s["tag"], s["span"][0], s["span"][1]))
+    for s in _wire.array(obj, "factorization"):
+        s = _wire.fields(s, "segment", required=("tag", "span"))
+        if s["tag"] not in ("A", "Y"):
+            raise ValueError(f'segment tag must be "A" or "Y", got {s["tag"]!r}.')
+        segs.append(Segment(s["tag"], *_wire.array(s["span"], "segment span", _wire.integer, 2)))
     return Factorization(segments=tuple(segs))
 
 

@@ -4,6 +4,7 @@ import json
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -447,3 +448,20 @@ def test_largest_group_decomposes_under_memory_limit():
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout) == {"intervals": [], "uncovered": [1], "coverage": 0,
                                        "bound_ok": True}
+
+
+def test_degree_cap_beyond_the_last_irreducible_word_is_cheap(capsys):
+    # Over {x | x x -> 0} only "x" is irreducible, so the target words are
+    # found at once; the expansion cap then rejects D = 10^8.
+    algebra = {
+        "alphabet": {"group": {"cyclic": 1}, "generators": [{"sym": "x", "grade": 0}]},
+        "rules": [{"lhs": ["x", "x"], "rhs": []}],
+    }
+    payload = json.dumps({"algebra": algebra, "base": [["x"]], "h": 1,
+                          "d": 10 ** 8, "D": 10 ** 8})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify-base", "--json", payload)
+    elapsed = time.perf_counter() - t0
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert "expansion cap too large" in err
+    assert elapsed < 2.0, elapsed

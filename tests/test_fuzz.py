@@ -1,9 +1,10 @@
 """Fuzz the four subcommands through cli.main: every payload gets an exit code.
 
 Payloads mix well-formed values with arbitrary JSON at every field, so both
-the validators and the computations behind them are exercised.  Sizes are
-bounded (group orders <= 64, n <= 200, h and d <= 3, D <= 8, bench n <= 1000
-and trials <= 2) so each example runs in milliseconds.
+the validators and the computations behind them are exercised.  A second test
+adds a stray key to one object of half the payloads, which must exit 2.
+Sizes are bounded (group orders <= 64, n <= 200, h and d <= 3, D <= 8, bench
+n <= 1000 and trials <= 2) so each example runs in milliseconds.
 """
 
 import contextlib
@@ -163,4 +164,49 @@ def test_every_subcommand_exits_with_a_code(argv, fmt):
         code = main([command, "--json=" + json.dumps(doc), "--format", fmt, *flags])
     assert code in EXIT_CODES, (code, err.getvalue())
     if code == 2:
+        assert err.getvalue().startswith("error: ")
+
+
+def _objects(doc):
+    """Every JSON object in doc, the outermost first."""
+    if isinstance(doc, dict):
+        yield doc
+        for value in doc.values():
+            yield from _objects(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _objects(value)
+
+
+@st.composite
+def stray_key_argvs(draw):
+    """An argv from argvs with a stray key in one of its payload's objects.
+
+    Every object the tool reads names its fields, and a group spec has one
+    key, so the stray key alone makes the payload malformed.  None when the
+    payload holds no object.
+    """
+    command, doc, flags = draw(argvs)
+    doc = json.loads(json.dumps(doc))  # strategies may share objects between draws
+    objects = list(_objects(doc))
+    if not objects:
+        return None
+    draw(st.sampled_from(objects))["zz"] = draw(junk)
+    return command, doc, flags
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(argv=argvs | stray_key_argvs())
+def test_a_stray_key_exits_two(argv):
+    if argv is None:
+        return
+    command, doc, flags = argv
+    stray = any("zz" in obj for obj in _objects(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--json=" + json.dumps(doc), *flags])
+    assert code in EXIT_CODES, (code, err.getvalue())
+    if stray:
+        assert code == 2, (doc, out.getvalue())
         assert err.getvalue().startswith("error: ")

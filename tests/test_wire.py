@@ -1,0 +1,133 @@
+"""The strict payload reader: every JSON object names its fields, and any
+other field is rejected by name."""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+
+import shirshov as sh
+from shirshov import _wire
+from shirshov.cli import EXIT_BAD_INPUT, main
+
+ALPHABET = {
+    "group": {"cyclic": 2},
+    "generators": [{"sym": "x", "grade": 1}, {"sym": "y", "grade": 0}],
+}
+ALGEBRA = {
+    "alphabet": ALPHABET,
+    "rules": [{"lhs": ["x", "y"], "rhs": [{"coef": "1", "word": ["y", "y", "x"]}]}],
+    "field": {"prime": 1000003},
+}
+
+
+def _cli(command):
+    """A reader that runs the subcommand and raises ValueError on exit 2."""
+    def read(doc):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--json", json.dumps(doc)])
+        if code == EXIT_BAD_INPUT:
+            raise ValueError(err.getvalue())
+        return code
+    return read
+
+
+# (reader, a well-formed document, the path to the object that gets the key)
+STRAY_KEY_CASES = {
+    "group table spec": (sh.spec_from_json, {"table": {"table": [[0, 1], [1, 0]]}}, ("table",)),
+    "sequence": (sh.sequence_from_json, {"group": {"cyclic": 2}, "elems": [1, 1]}, ()),
+    "decomposition": (sh.decomposition_from_json,
+                      {"intervals": [[1, 2]], "uncovered": [], "coverage": 2}, ()),
+    "alphabet": (sh.alphabet_from_json, ALPHABET, ()),
+    "generator": (sh.alphabet_from_json, ALPHABET, ("generators", 1)),
+    "field": (sh.field_from_json, {"rationals": True}, ()),
+    "algebra": (sh.algebra_from_json, ALGEBRA, ()),
+    "rule": (sh.algebra_from_json, ALGEBRA, ("rules", 0)),
+    "rhs term": (sh.algebra_from_json, ALGEBRA, ("rules", 0, "rhs", 0)),
+    "segment": (sh.factorization_from_json, [{"tag": "A", "span": [1, 2]}], (0,)),
+    "factorize payload": (_cli("factorize"),
+                          {"alphabet": ALPHABET, "word": ["x", "x"], "h": 1}, ()),
+    "verify-base payload": (_cli("verify-base"),
+                            {"algebra": ALGEBRA, "base": [["x"], ["y"]], "h": 1, "d": 2,
+                             "D": 3, "graded": False}, ()),
+    "bench payload": (_cli("bench"), {"group": {"cyclic": 3}, "n": 10, "trials": 1, "seed": 0},
+                      ()),
+}
+
+
+@pytest.mark.parametrize("name", STRAY_KEY_CASES)
+def test_stray_key_is_rejected_by_name(name):
+    read, doc, path = STRAY_KEY_CASES[name]
+    read(doc)  # well-formed without the key
+    doc = copy.deepcopy(doc)
+    obj = doc
+    for step in path:
+        obj = obj[step]
+    obj["zz"] = 0
+    with pytest.raises(ValueError, match='"zz"'):
+        read(doc)
+
+
+def test_rules_typo_exits_two(capsys):
+    algebra = {"alphabet": ALPHABET, "rule": []}
+    doc = {"algebra": algebra, "base": [["x"], ["y"]], "h": 2, "d": 3}
+    code = main(["verify-base", "--json", json.dumps(doc)])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert 'unknown field "rule"' in err and '"rules"' in err
+
+
+def test_bench_size_typo_exits_two(capsys):
+    code = main(["bench", "--json", '{"N": 10}'])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_INPUT and captured.out == ""
+    assert 'unknown field "N"' in captured.err
+
+
+def test_decompose_output_reads_back(capsys):
+    payload = {"group": {"cyclic": 3}, "elems": [1, 2, 0, 1, 1, 1, 2]}
+    assert main(["decompose", "--json", json.dumps(payload)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bound_ok"] is True
+    dec = sh.decomposition_from_json(doc)
+    assert dec == sh.decompose_optimal(sh.sequence_from_json(payload))
+    with pytest.raises(ValueError, match='"bound_ok"'):
+        sh.decomposition_from_json({**doc, "bound_ok": 1})
+
+
+def test_fields():
+    assert _wire.fields({"a": 1}, "thing", required=("a",), optional=("b",)) == {"a": 1}
+    with pytest.raises(ValueError, match='thing is missing field "a"'):
+        _wire.fields({"b": 1}, "thing", required=("a",), optional=("b",))
+    with pytest.raises(ValueError, match='thing has unknown field "c"; it takes "a", "b"'):
+        _wire.fields({"a": 1, "c": 1}, "thing", required=("a",), optional=("b",))
+    with pytest.raises(ValueError, match="thing must be an object"):
+        _wire.fields([("a", 1)], "thing", required=("a",))
+
+
+def test_scalars():
+    assert _wire.integer(3, "n", lo=0, hi=3) == 3
+    for value, match in ((True, "n must be an integer in"), (4, r"in \[0,3\]"), (3.0, "got 3.0")):
+        with pytest.raises(ValueError, match=match):
+            _wire.integer(value, "n", lo=0, hi=3)
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
+        _wire.integer(0, "n", lo=1)
+    assert _wire.string("x", "s") == "x"
+    with pytest.raises(ValueError, match="s must be a string"):
+        _wire.string(1, "s")
+    assert _wire.boolean(False, "b") is False
+    with pytest.raises(ValueError, match="b must be a boolean"):
+        _wire.boolean(0, "b")
+
+
+def test_array():
+    assert _wire.array([1, 2], "pair", _wire.integer, 2) == [1, 2]
+    with pytest.raises(ValueError, match="pair must be a list of length 2"):
+        _wire.array([1], "pair", _wire.integer, 2)
+    with pytest.raises(ValueError, match="pair entry must be an integer, got False"):
+        _wire.array([1, False], "pair", _wire.integer, 2)
+    with pytest.raises(ValueError, match="pair must be a list"):
+        _wire.array("ab", "pair")
