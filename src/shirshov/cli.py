@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -104,11 +105,19 @@ def _int_field(
 
 
 def _emit(doc: object, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(doc))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if fmt == "json":
+            print(json.dumps(doc))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (e.g. `| head`).  Point stdout at devnull so the
+        # flush at exit does not raise again; the command keeps its exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:

@@ -109,6 +109,9 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
+    def pow(self, a: int, k: int) -> int:
+        return pow(a, k, self.p)
+
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("no inverse of 0.")
@@ -150,6 +153,9 @@ class RationalField:
 
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
         return a * b
+
+    def pow(self, a: Fraction, k: int) -> Fraction:
+        return a**k
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
@@ -307,14 +313,60 @@ class AlgebraSpec:
         }
 
 
+def _splice_run(buf: bytearray, start: int, o: int, pos: int, end: int,
+                rword: bytes, back: int) -> int:
+    """Take the step at hand, with every repeat of it, in one splice.
+
+    The scan state is buf[start:] (start >= 0).  The step rewrites it at
+    offset o >= back, and the next search starts e = o - back bytes in; the
+    match read only the state's first o + back + 1 bytes.  If the new state
+    is the old one with the q > 0 bytes Q at offset u removed, then while
+    another copy of Q follows, the next state agrees with this one on those
+    bytes, so the same step fires again and again emits the same e bytes on
+    the left.  The 1 + R steps that delete Q and its R further copies become
+    one splice.  Returns the number of steps taken: 1 when the step is not
+    of that kind.
+    """
+    e = o - back
+    r = len(rword)
+    q = e + end - pos - r
+    u = max(back + r, o + back + 1 - q)
+    at = start + u
+    # Past offset back + r the new state is the old one shifted by q, so it
+    # remains to compare the first u bytes.  A state shorter than u + q bytes
+    # fails here, since the new one is then shorter than u.
+    if q <= 0 or (
+        buf[pos - back : pos] + rword + buf[end : end + u - back - r] != buf[start:at]
+    ):
+        buf[pos:end] = rword
+        return 1
+    # Count the copies of Q by galloping: double the probe while it matches,
+    # then halve it back down to one block.
+    block = bytes(buf[at : at + q])
+    p, n, k = at + q, 1, 1
+    while buf.startswith(block, p):
+        p, n, k = p + k * q, n + k, 2 * k
+        block += block
+    while k > 1:
+        k //= 2
+        block = block[: k * q]
+        if buf.startswith(block, p):
+            p, n = p + k * q, n + k
+    buf[start:p] = buf[start : pos - back] * n + buf[start:at]
+    return n
+
+
 def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple[dict, int]:
     """Normal form of a linear combination of interned monomials.
 
     pending maps each monomial to [coefficient, scan hint], where no position
     left of the hint starts an lhs occurrence; it is consumed.  Monomials are
-    rewritten leftmost-longest, one step per rule application, counting on
-    from steps; passing budget raises StepBudgetExceeded.  Returns the normal
-    form and the step count.
+    rewritten leftmost-longest, counting on from steps, one step per rule
+    application; passing budget raises StepBudgetExceeded.  A run of n
+    identical single-term steps that each delete one copy of a block from the
+    scan state (x through y^K under x y -> y y x) is done in one splice and
+    charged n steps, exactly as one at a time.  Returns the normal form and
+    the step count.
     """
     field = spec.field
     mul, add, is_zero, zero = field.mul, field.add, field.is_zero, field.zero
@@ -329,18 +381,37 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
             single, rhs = actions[m.group()]
             if single is not None:
                 # Single-term rules keep a single monomial, so splice them in
-                # place; only branching rules need to fork.
+                # place; only branching rules need to fork.  start is where the
+                # search that found m began (re reads a negative start as 0).
+                # A step that repeats the previous step's action at the same
+                # offset from start is tested for a periodic run.
                 buf = bytearray(mono)
+                start = hint
+                last = -1
+                prev = None
                 while True:
-                    steps += 1
-                    if steps > budget:
-                        raise _exhausted(budget)
                     pos, end = m.span()
                     rword, rcoef = single
-                    buf[pos:end] = rword
-                    if rcoef is not None:
-                        coef = mul(coef, rcoef)
-                    m = search(buf, pos - back)
+                    o = pos - start
+                    if o == last and o >= back and start >= 0 and single is prev:
+                        n = _splice_run(buf, start, o, pos, end, rword, back)
+                        steps += n
+                        if steps > budget:
+                            raise _exhausted(budget)
+                        start += n * (o - back)
+                        if rcoef is not None:
+                            coef = mul(coef, field.pow(rcoef, n))
+                    else:
+                        last = o
+                        prev = single
+                        steps += 1
+                        if steps > budget:
+                            raise _exhausted(budget)
+                        buf[pos:end] = rword
+                        start = pos - back
+                        if rcoef is not None:
+                            coef = mul(coef, rcoef)
+                    m = search(buf, start)
                     if m is None:
                         break
                     single, rhs = actions[m.group()]

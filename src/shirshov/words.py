@@ -102,10 +102,17 @@ class Factorization:
 
 def grade_of(alphabet: GradedAlphabet, word: Sequence[str]) -> int:
     """Product of the letter grades of a word (identity for the empty word)."""
-    table = memoryview(alphabet.group.cayley)
+    # A flat view of the table, indexed a*m + b, is zero-copy and cheaper to
+    # index than the 2-D view.
+    m = alphabet.group.order
+    flat = memoryview(alphabet.group.cayley.ravel())
+    grades = alphabet._grades
     acc = 0
-    for sym in word:
-        acc = table[acc, alphabet.grade(sym)]
+    try:
+        for sym in word:
+            acc = flat[acc * m + grades[sym]]
+    except KeyError:
+        alphabet.grade(sym)  # raises the unknown-symbol ValueError
     return acc
 
 

@@ -371,6 +371,24 @@ def test_module_entry_point_subprocess():
     assert doc["coverage"] == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_closed_stdout_exits_quietly(tmp_path, fmt):
+    # As under `| head -c 50`: the reader goes away long before the output,
+    # far larger than a pipe buffer, is written.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"group": {"cyclic": 2}, "elems": [1] * 200000}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shirshov.cli", "decompose", "--input", str(path),
+         "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert err == "", err  # no BrokenPipeError traceback
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import shirshov as sh
+from shirshov import rewriting
 from shirshov.rewriting import _is_prime
 
 
@@ -315,35 +316,56 @@ def test_normalize_deterministic():
 # ---------------------------------------------------------------- engine oracle
 
 
+def _naive_redex(rules, mono):
+    """(position, rule) of the leftmost longest lhs in mono, or None."""
+    for pos in range(len(mono)):
+        hit = None
+        for rule in rules:
+            L = len(rule.lhs)
+            if mono[pos : pos + L] == rule.lhs and (hit is None or L > len(hit.lhs)):
+                hit = rule
+        if hit is not None:
+            return pos, hit
+    return None
+
+
 def _naive_normalize(spec, word, budget):
     """Leftmost-longest rewriting on tuples, earlier rule winning ties.
 
-    Returns (normal form, steps); every monomial is rewritten on its own, so
-    steps match the engine's exactly when no rule forks.
+    Returns (normal form, steps), one step at a time.  It keeps the engine's
+    bookkeeping: pending monomials merge in a dict and are taken last in,
+    first out, and a single-term rule rewrites its monomial in place, so the
+    steps match the engine's exactly, forking rules included.
     """
     field, out, steps = spec.field, {}, 0
-    todo = [(tuple(word), field.one)]
+    todo = {tuple(word): field.one}
     while todo:
-        mono, coef = todo.pop()
-        hit = None
-        for pos in range(len(mono)):
-            for rule in spec.rules:
-                L = len(rule.lhs)
-                if mono[pos : pos + L] == rule.lhs and (hit is None or L > len(hit[1].lhs)):
-                    hit = (pos, rule)
-            if hit is not None:
+        mono, coef = todo.popitem()
+        while True:
+            hit = _naive_redex(spec.rules, mono)
+            if hit is None:
                 break
+            steps += 1
+            if steps > budget:
+                raise sh.StepBudgetExceeded("naive budget")
+            pos, rule = hit
+            if len(rule.rhs) != 1:
+                break
+            (rword, rcoef), = rule.rhs
+            mono = mono[:pos] + rword + mono[pos + len(rule.lhs) :]
+            coef = field.mul(coef, rcoef)
         if hit is None:
             acc = field.add(out.pop(mono, field.zero), coef)
             if not field.is_zero(acc):
                 out[mono] = acc
             continue
-        steps += 1
-        if steps > budget:
-            raise sh.StepBudgetExceeded("naive budget")
-        pos, rule = hit
         for rword, rcoef in rule.rhs:
-            todo.append((mono[:pos] + rword + mono[pos + len(rule.lhs) :], field.mul(coef, rcoef)))
+            nw = mono[:pos] + rword + mono[pos + len(rule.lhs) :]
+            acc = field.add(todo.get(nw, field.zero), field.mul(coef, rcoef))
+            if field.is_zero(acc):
+                todo.pop(nw, None)
+            else:
+                todo[nw] = acc
     return out, steps
 
 
@@ -501,6 +523,158 @@ def test_memo_ignored_on_uncertified_presentation():
     assert sh.normalize(alg, ("x", "y", "z"), memo=chain) == {("u", "z"): 1}
     with pytest.raises(sh.StepBudgetExceeded):
         sh.normalize(_pingpong_algebra(), ("x", "y"), 99, sh.SuffixChain())
+
+
+# ---------------------------------------------------------------- periodic runs
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The lengths of the step runs the engine took in one splice."""
+    seen = []
+    splice_run = rewriting._splice_run
+
+    def counted(*args):
+        n = splice_run(*args)
+        if n > 1:
+            seen.append(n)
+        return n
+
+    monkeypatch.setattr(rewriting, "_splice_run", counted)
+    return seen
+
+
+def _random_coef(rng, field):
+    if rng.random() < 0.5:
+        return field.one
+    if isinstance(field, sh.RationalField):
+        return Fraction(rng.choice([-3, -2, -1, 2, 3]), rng.randint(1, 4))
+    return rng.randrange(2, field.p)
+
+
+def _random_presentation(rng, alpha, letters, field):
+    """1-3 rules over letters, lhs of 1-3 letters, a fifth of them two-term."""
+    rules = []
+    while len(rules) < rng.randint(1, 3):
+        lhs = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        words = {tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+                 for _ in range(2 if rng.random() < 0.2 else 1)}
+        try:
+            rules.append(sh.RewriteRule(lhs, tuple((w, _random_coef(rng, field)) for w in words)))
+        except ValueError:
+            continue
+    return sh.AlgebraSpec(alpha, rules, field)
+
+
+def _periodic_words(rng, alg, letters):
+    # Random words, x y^K and x x y^K shapes over random letters, and an
+    # lhs followed by many copies of a block.
+    words = _random_words(rng, letters, 3, 8)
+    x, y = rng.sample(letters, 2)
+    K = rng.randint(10, 40)
+    words += [(x,) + (y,) * K, (x, x) + (y,) * K]
+    lhs = rng.choice(alg.rules).lhs
+    block = tuple(rng.choice(letters) for _ in range(rng.randint(1, 2)))
+    words.append(lhs[:-1] + block * rng.randint(5, 20) + lhs[-1:])
+    words.append(lhs + block * rng.randint(5, 20))
+    return words
+
+
+@pytest.mark.parametrize("field, size, letters", [
+    pytest.param(sh.PrimeField(7), 3, (0, 1, 2), id="F7"),
+    pytest.param(sh.RationalField(), 3, (0, 1, 2), id="Q"),
+    pytest.param(sh.PrimeField(7), 200, (1, 130, 131, 199), id="F7-wide"),
+    pytest.param(sh.RationalField(), 200, (128, 150, 170, 199), id="Q-wide"),
+])
+def test_periodic_runs_match_naive_rewriter(runs, field, size, letters):
+    # A run of identical steps taken in one splice gives the normal form, the
+    # step count and the budget verdict of one step at a time; over 200
+    # symbols the codes of s128 and up take two bytes.
+    alpha = _trivial_alphabet(*(f"s{i}" for i in range(size)))
+    letters = [f"s{i}" for i in letters]
+    rng = random.Random(11)
+    budget = 1000
+    exhausted = 0
+    for _ in range(50):
+        alg = _random_presentation(rng, alpha, letters, field)
+        for word in _periodic_words(rng, alg, letters):
+            try:
+                expect, steps = _naive_normalize(alg, word, budget)
+            except sh.StepBudgetExceeded:
+                exhausted += 1
+                with pytest.raises(sh.StepBudgetExceeded):
+                    sh.normalize(alg, word, budget)
+                continue
+            assert sh.normalize(alg, word, budget) == expect
+            if steps == 0:
+                continue
+            assert sh.normalize(alg, word, steps) == expect
+            for short in {steps - 1, rng.randrange(steps)} - {0}:
+                with pytest.raises(sh.StepBudgetExceeded):
+                    sh.normalize(alg, word, short)
+    assert len(runs) > 50
+    assert exhausted > 0
+
+
+@pytest.mark.parametrize("field, coef", [
+    pytest.param(sh.PrimeField(7), 3, id="F7"),
+    pytest.param(sh.RationalField(), Fraction(-2, 3), id="Q"),
+])
+def test_periodic_run_multiplies_coefficient_power(runs, field, coef):
+    # x y -> c y y x moves x through y^K in K steps, so nf = c^K y^2K x.
+    alg = sh.AlgebraSpec(
+        _z2_alphabet(), [sh.RewriteRule(("x", "y"), ((("y", "y", "x"), coef),))], field
+    )
+    for K in (1, 2, 5, 50, 257):
+        word = ("x",) + ("y",) * K
+        expect = {("y",) * (2 * K) + ("x",): field.pow(coef, K)}
+        assert expect == _naive_normalize(alg, word, K)[0]
+        assert sh.normalize(alg, word, K) == expect
+    assert max(runs) > 200
+    assert field.pow(coef, 0) == field.one
+    assert field.pow(coef, 3) == field.mul(coef, field.mul(coef, coef))
+
+
+def test_budget_runs_out_inside_a_periodic_run(runs):
+    # x y^50 takes 50 steps, all but a few of them in one splice; a budget of
+    # 25 runs out inside it and still raises.
+    alg = _fixture_algebra()
+    word = ("x",) + ("y",) * 50
+    with pytest.raises(sh.StepBudgetExceeded):
+        sh.normalize(alg, word, 25)
+    assert len(runs) == 1 and runs[0] > 25
+    assert sh.normalize(alg, word, 50) == {("y",) * 100 + ("x",): 1}
+
+
+def test_long_closed_form_words_take_exact_steps_quickly():
+    # nf(x^a y^K) = y^(K 2^a) x^a in exactly K (2^a - 1) steps under
+    # x y -> y y x.  One step at a time, each step moves the whole tail, and
+    # x y^1000000 took about 14 s on a 2-core Xeon VM; one splice takes it in
+    # well under a second.  The x's of x x y^K move in lockstep, so no run
+    # repeats there; the memo path folds every suffix y^j, so it gets a
+    # shorter K.
+    script = (
+        "import shirshov as sh\n"
+        "g = sh.build_group(sh.cyclic(2))\n"
+        "alpha = sh.GradedAlphabet(g, [('x', 1), ('y', 0)])\n"
+        "alg = sh.AlgebraSpec(alpha, [sh.RewriteRule(('x', 'y'), ((('y', 'y', 'x'), 1),))])\n"
+        "for a, K, memo in ((1, 1000000, None), (2, 20000, None), (1, 3000, 'chain'),\n"
+        "                   (2, 3000, 'chain')):\n"
+        "    word = ('x',) * a + ('y',) * K\n"
+        "    steps = K * ((1 << a) - 1)\n"
+        "    chain = sh.SuffixChain() if memo else None\n"
+        "    nf = sh.normalize(alg, word, steps, chain)\n"
+        "    assert nf == {('y',) * (K << a) + ('x',) * a: 1}, (a, K)\n"
+        "    try:\n"
+        "        sh.normalize(alg, word, steps - 1, chain)\n"
+        "    except sh.StepBudgetExceeded:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(f'budget {steps - 1} passed on {a}, {K}, {memo}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=20)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------- confluence
