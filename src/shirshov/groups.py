@@ -164,11 +164,12 @@ class FiniteGroup:
 
     def prod(self, elems: Iterable[int]) -> int:
         """Left-to-right product of a sequence of elements (identity if empty)."""
+        m = self.order
+        flat = memoryview(self.cayley.ravel())
         acc = 0
-        tab = memoryview(self.cayley)
         for g in elems:
             self._check_index(g)
-            acc = tab[acc, g]
+            acc = flat[acc * m + g]
         return acc
 
     def name_of(self, a: int) -> str:

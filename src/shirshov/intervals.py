@@ -41,7 +41,6 @@ __all__ = [
 ORACLE_LIMIT = 16
 # decompose_optimal takes the vectorized core from n >= _VECTOR_RATIO * |G|.
 _VECTOR_RATIO = 1000
-_SCAN_BLOCK = 64
 
 
 class Interval(NamedTuple):
@@ -120,25 +119,26 @@ def prefix_products(seq: GradeSequence) -> np.ndarray:
 
 
 def _scan(cayley: np.ndarray, elems: Sequence[int] | np.ndarray) -> np.ndarray:
-    # Blocked Hillis-Steele scan over the Cayley table: doubling steps inside
-    # rows of _SCAN_BLOCK elements, the same scan over the row totals, then
-    # one pass that multiplies each row by the product of all rows before it.
     # The table's dtype is wide enough for the flat index a*m + b.
-    m = len(cayley)
-    flat = cayley.ravel()
-    n = len(elems)
-    rows = -(-n // _SCAN_BLOCK)
-    out = np.zeros(1 + rows * _SCAN_BLOCK, dtype=flat.dtype)  # tail pads with e
-    block = out[1:].reshape(rows, _SCAN_BLOCK)
-    out[1 : n + 1] = elems
-    off = 1
-    while off < _SCAN_BLOCK:
-        block[:, off:] = flat[block[:, :-off] * m + block[:, off:]]
-        off *= 2
-    if rows > 1:
-        carry = _scan(cayley, block[:-1, -1])[1:]
-        block[1:] = flat[carry[:, None] * m + block[1:]]
-    return out[: n + 1]
+    out = np.empty(len(elems) + 1, dtype=cayley.dtype)
+    out[0] = 0
+    out[1:] = elems
+    _scan_pairs(cayley.ravel(), len(cayley), out[1:])
+    return out
+
+
+def _scan_pairs(flat: np.ndarray, m: int, x: np.ndarray) -> None:
+    # Inclusive scan of x in place, pairwise (Blelloch): multiply neighbouring
+    # pairs, scan the half-length array of pair products, which gives every
+    # odd slot, then fill each even slot from the odd slot before it.  About
+    # 2n table gathers in all.
+    n = len(x)
+    if n < 2:
+        return
+    pairs = flat[x[0 : n - 1 : 2] * m + x[1::2]]
+    _scan_pairs(flat, m, pairs)
+    x[1::2] = pairs
+    x[2::2] = flat[pairs[: (n - 1) // 2] * m + x[2::2]]
 
 
 def decompose_optimal(seq: GradeSequence) -> Decomposition:
@@ -168,8 +168,10 @@ def _optimal_core_reference(
     # phi[i] = (best coverage of the first i positions) - i, a value in
     # [-(|G|-1), 0]; best_val[v] = max phi[j] over prefixes j with f(j) = v,
     # best_j[v] the earliest j attaining it.
+    # A flat view of the table, indexed a*m + b, is zero-copy and cheaper to
+    # index than the 2-D view.
     m = len(cayley)
-    table = memoryview(cayley)
+    flat = memoryview(cayley.ravel())
     neg = -(1 << 60)
     best_val = [neg] * m
     best_j = [0] * m
@@ -181,7 +183,7 @@ def _optimal_core_reference(
     f = 0
     prev_phi = 0
     for i in range(1, n + 1):
-        f = table[f, elems[i - 1]]
+        f = flat[f * m + elems[i - 1]]
         cand = best_val[f]
         skip = prev_phi - 1
         if cand >= skip:
@@ -245,7 +247,9 @@ def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
             best_val[v] = val
             events[v].append((i_star, val, i_star))
             start = i_star + 1
-            chunk = 1 << 12
+            # Events come in bursts: restart at about twice the gap just
+            # scanned, so a burst costs chunks of its own size.
+            chunk = max(64, 2 * (k + 1))
         else:
             phi[start : end + 1] = pb
             start = end + 1
@@ -287,7 +291,8 @@ def decompose_bruteforce(seq: GradeSequence) -> Decomposition:
     n = len(seq)
     if n > ORACLE_LIMIT:
         raise ValueError(f"oracle limit exceeded: n={n} > {ORACLE_LIMIT}.")
-    table = memoryview(seq.group.cayley)
+    m = seq.group.order
+    flat = memoryview(seq.group.cayley.ravel())
     elems = tuple(seq.elems)
     memo: dict[int, int] = {n + 1: 0}
 
@@ -298,7 +303,7 @@ def decompose_bruteforce(seq: GradeSequence) -> Decomposition:
         out = rec(i + 1)
         acc = 0
         for j in range(i, n + 1):
-            acc = table[acc, elems[j - 1]]
+            acc = flat[acc * m + elems[j - 1]]
             if acc == 0:
                 cand = (j - i + 1) + rec(j + 1)
                 if cand > out:
@@ -316,7 +321,7 @@ def decompose_bruteforce(seq: GradeSequence) -> Decomposition:
             continue
         acc = 0
         for j in range(i, n + 1):
-            acc = table[acc, elems[j - 1]]
+            acc = flat[acc * m + elems[j - 1]]
             if acc == 0 and (j - i + 1) + rec(j + 1) == target:
                 intervals.append(Interval(i, j))
                 i = j + 1

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from . import _wire
 from .groups import FiniteGroup, build_group, spec_from_json, spec_to_json
 from .intervals import GradeSequence, decompose_optimal
@@ -118,7 +120,12 @@ def grade_of(alphabet: GradedAlphabet, word: Sequence[str]) -> int:
 
 def factorize(alphabet: GradedAlphabet, word: Sequence[str]) -> Factorization:
     """Factor a word into maximal identity-grade A-segments and leftover Y-segments."""
-    grades = [alphabet.grade(sym) for sym in word]
+    try:
+        grades = np.fromiter(map(alphabet._grades.__getitem__, word), dtype=np.int32,
+                             count=len(word))
+    except KeyError as err:
+        alphabet.grade(err.args[0])  # raises the unknown-symbol ValueError
+        raise
     dec = decompose_optimal(GradeSequence(alphabet.group, grades))
 
     merged: list[list[int]] = []

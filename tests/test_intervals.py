@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import shirshov as sh
-from shirshov.intervals import _optimal_core_reference, _optimal_core_vector
+from shirshov.intervals import _optimal_core_reference, _optimal_core_vector, _scan
 
 
 def _seq(spec, elems):
@@ -21,8 +21,7 @@ def test_prefix_products_examples():
 
 
 def test_prefix_products_match_left_fold():
-    # Lengths straddle the scan's 64-element rows; 65 and 4100 recurse over
-    # the row totals, 4100 twice.
+    # Odd and even lengths take different last steps in the pairwise scan.
     rng = random.Random(3)
     specs = (
         sh.cyclic(17), sh.dihedral(4), sh.symmetric(4),
@@ -39,6 +38,33 @@ def test_prefix_products_match_left_fold():
             assert got[-1] == group.prod(elems)
             arr = sh.prefix_products(sh.GradeSequence(group, np.array(elems, dtype=np.int64)))
             assert arr.tolist() == fold
+
+
+def test_scan_matches_scalar_fold():
+    # Every length class of the pairwise scan: odd and even, and 2^k - 1, 2^k,
+    # 2^k + 1, where the recursion's depth steps up.  Elements of cyclic(4096)
+    # near m - 1 reach the largest flat index a*m + b = m^2 - 1.
+    rng = random.Random(13)
+    lengths = sorted({*range(6), 4100,
+                      *(2 ** k + d for k in range(1, 14) for d in (-1, 0, 1))})
+    specs = (
+        sh.cyclic(17), sh.dihedral(4), sh.symmetric(4),
+        sh.product(sh.symmetric(3), sh.cyclic(4)),
+        sh.table(sh.build_group(sh.symmetric(3)).cayley.tolist()),
+        sh.symmetric(6), sh.cyclic(4096),
+    )
+    for spec in specs:
+        group = sh.build_group(spec)
+        m = group.order
+        low = m - 8 if m == 4096 else 0
+        for n in lengths:
+            elems = [rng.randrange(low, m) for _ in range(n)]
+            fold = list(itertools.accumulate(elems, group.mul, initial=group.id()))
+            for given in (tuple(elems), np.array(elems, dtype=np.int64),
+                          np.array(elems, dtype=np.int32)):
+                got = _scan(group.cayley, given)
+                assert got.dtype == group.cayley.dtype
+                assert got.tolist() == fold, (m, n, type(given))
 
 
 def test_lemma_bound_examples():
@@ -202,6 +228,37 @@ def test_vectorized_path_matches_reference_exactly():
             seq = sh.GradeSequence(group, [rng.randrange(group.order) for _ in range(n)])
             assert _optimal_core_vector(sh.prefix_products(seq), group.order) == \
                 _optimal_core_reference(group.cayley, seq.elems)
+
+
+def _structured_sequences(group, rng, n):
+    # Inputs whose events come in bursts, runs and long quiet stretches.
+    m = group.order
+    g = rng.randrange(1, m)
+    g_inv = group.inverse(g)
+    rand = [rng.randrange(m) for _ in range(n)]
+    runs = []
+    while len(runs) < n:
+        runs += [0] * int(10 ** rng.uniform(0, 3.7))  # up to about 5000
+        runs += [rng.randrange(m) for _ in range(rng.randrange(1, 50))]
+    cut = rng.randrange(n + 1)
+    return {
+        "random": rand,
+        "identity runs": runs[:n],
+        "one generator": [g] * n,
+        "random then constant": rand[:cut] + [g] * (n - cut),
+        "g, g^-1": [g, g_inv] * (n // 2) + [g] * (n % 2),
+    }
+
+
+def test_vectorized_core_restarts_match_reference():
+    rng = random.Random(17)
+    for spec in (sh.symmetric(5), sh.symmetric(6)):
+        group = sh.build_group(spec)
+        for n in (1, 64, 65, 4097, 20_000, rng.randrange(600, 20_000)):
+            for kind, elems in _structured_sequences(group, rng, n).items():
+                seq = sh.GradeSequence(group, elems)
+                assert _optimal_core_vector(sh.prefix_products(seq), group.order) == \
+                    _optimal_core_reference(group.cayley, elems), (group.order, n, kind)
 
 
 def test_vectorized_path_used_above_threshold():

@@ -64,6 +64,26 @@ def test_factorize_empty_word():
     assert fact.k == 0 and fact.y_total == 0
 
 
+def test_factorize_inputs_and_unknown_symbol():
+    # 10^5 letters over S3 take the vectorized core.  A list and a tuple give
+    # the same factorization, and an unknown symbol, even the last of 10^5
+    # letters, raises the same error as alphabet.grade.
+    rng = random.Random(29)
+    alpha = sh.GradedAlphabet(sh.build_group(sh.symmetric(3)),
+                              [(f"a{k}", k) for k in range(6)])
+    for n in (0, 7, 100_000):
+        word = [f"a{rng.randrange(6)}" for _ in range(n)]
+        fact = sh.factorize(alpha, tuple(word))
+        assert sh.factorize(alpha, word) == fact
+        assert sh.verify_factorization(alpha, word, fact).ok
+        assert (fact.segments == ()) == (n == 0)
+        with pytest.raises(ValueError) as expected:
+            alpha.grade("zz")
+        with pytest.raises(ValueError) as got:
+            sh.factorize(alpha, word + ["zz"])
+        assert str(got.value) == str(expected.value)
+
+
 def test_factorize_merges_adjacent_intervals():
     # Grades 0,0,1,1 decompose into adjacent identity-product intervals that
     # must come back as one A-segment.
