@@ -305,12 +305,21 @@ class AlgebraSpec:
                 self.alphabet.grade(sym)
             raise
 
-    def _decode(self, comb: dict) -> LinComb:
+    def _decode(self, comb: dict, words: Optional[dict] = None) -> LinComb:
+        """Decode interned monomials to tuples.
+
+        words maps the monomials of this spec decoded so far to their tuples
+        and is filled in; a monomial already in it comes back as that tuple.
+        """
+        words = {} if words is None else words
         dec = self._dec.__getitem__
-        return {
-            tuple(map(dec, mono.decode("utf-8", "surrogatepass"))): coef
-            for mono, coef in comb.items()
-        }
+        out = {}
+        for mono, coef in comb.items():
+            word = words.get(mono)
+            if word is None:
+                word = words[mono] = tuple(map(dec, mono.decode("utf-8", "surrogatepass")))
+            out[word] = coef
+        return out
 
 
 def _splice_run(buf: bytearray, start: int, o: int, pos: int, end: int,
@@ -548,16 +557,20 @@ class SuffixChain:
     Pass one chain to normalize(..., memo=chain) over a run of words: each
     word then reuses the normal form of the longest suffix it shares with the
     word before, which is what ordering the run by reversed word maximizes.
-    The chain holds one word's suffixes at a time, never a growing cache.
+    The chain holds one word's suffixes at a time.  It also decodes each
+    distinct monomial of the results once, so equal normal forms share one
+    tuple; that map grows with the run and is dropped when the spec changes.
     """
 
-    __slots__ = ("_spec", "_word", "_forms")
+    __slots__ = ("_spec", "_word", "_forms", "_words")
 
     def __init__(self):
         self._spec: Optional[AlgebraSpec] = None
         self._word: Word = ()
         # _forms[k] = (normal form of the last k letters, steps to fold it).
         self._forms: list[tuple[dict, int]] = []
+        # Interned monomial -> decoded tuple, for monomials of _spec.
+        self._words: dict[bytes, Word] = {}
 
     def _fold(self, spec: AlgebraSpec, word: Word, codes: list[bytes], budget: int) -> dict:
         # Under a confluent presentation nf(a v) = nf(a nf(v)), so fold the
@@ -566,7 +579,7 @@ class SuffixChain:
         # whether it exhausts the budget, do not depend on what the chain
         # already holds.
         if self._spec is not spec:
-            self._spec, self._word = spec, ()
+            self._spec, self._word, self._words = spec, (), {}
             self._forms = [({b"": spec.field.one}, 0)]
         prev, forms = self._word, self._forms
         n = len(word)
@@ -607,7 +620,7 @@ def normalize(
     if not spec.rules:
         return {w: spec.field.one}
     if memo is not None and check_confluence(spec, budget).confluent:
-        return spec._decode(memo._fold(spec, w, codes, budget))
+        return spec._decode(memo._fold(spec, w, codes, budget), memo._words)
     pending = {b"".join(codes): [spec.field.one, 0]}
     return spec._decode(_rewrite(spec, pending, 0, budget)[0])
 

@@ -54,9 +54,15 @@ def _deglex(mono: Word) -> tuple[int, Word]:
     return (len(mono), mono)
 
 
+def _deglex_term(term: tuple[Word, object]) -> tuple[int, Word]:
+    return (len(term[0]), term[0])
+
+
 @dataclass(frozen=True)
 class PoweredProduct:
     """Product of powers ((base word, exponent), ...) with distinct neighbors."""
+
+    __slots__ = ("factors", "__weakref__")
 
     factors: tuple[tuple[Word, int], ...]
 
@@ -89,6 +95,10 @@ class PoweredProduct:
             out.extend(base * exp)
         return tuple(out)
 
+    def __reduce__(self):
+        # Frozen slots block the setattr that restores state, so rebuild.
+        return (PoweredProduct, (self.factors,))
+
 
 def enumerate_products(
     bases: Sequence[Sequence[str]], h: int, D: int
@@ -96,8 +106,9 @@ def enumerate_products(
     """All powered products with count <= h and expansion length <= D.
 
     The result is deterministic: sorted by factor count, then
-    lexicographically by the factor tuples themselves.  The products are
-    counted first: more than ENUM_CAP raise ValueError before any is built.
+    lexicographically by the factor tuples themselves, the order in which
+    the level-by-level walk builds them.  The products are counted first:
+    more than ENUM_CAP raise ValueError before any is built.
     """
     if h < 1:
         raise ValueError(f"height must be >= 1, got {h}.")
@@ -116,21 +127,38 @@ def enumerate_products(
             f"with height <= {h} and expansion length <= {D}."
         )
 
+    # Level j + 1 extends the level-j products in their sorted order, each by
+    # the bases in tuple order and then by ascending exponent, so every level
+    # comes out sorted.  The products are valid by construction and skip
+    # __post_init__; the one-factor tails are shared.
+    uniq.sort()
+    tails = [(base, len(base), [((base, e),) for e in range(1, D // len(base) + 1)])
+             for base in uniq]
+    new, put, cls = object.__new__, object.__setattr__, PoweredProduct
     out: list[PoweredProduct] = []
-    # Partial products still to extend: (factors, expansion length, last base).
-    stack: list[tuple[tuple[tuple[Word, int], ...], int, Optional[Word]]] = [((), 0, None)]
-    while stack:
-        prefix, used, last = stack.pop()
-        for base in uniq:
-            if base == last:
-                continue
-            blen = len(base)
-            for exp in range(1, (D - used) // blen + 1):
-                factors = prefix + ((base, exp),)
-                out.append(PoweredProduct(factors))
-                if len(factors) < h:
-                    stack.append((factors, used + blen * exp, base))
-    out.sort(key=lambda p: (p.count, p.factors))
+    for base, _, ends in tails:
+        for tail in ends:
+            p = new(cls)
+            put(p, "factors", tail)
+            out.append(p)
+    lo = 0
+    for _ in range(h - 1):
+        hi = len(out)
+        if lo == hi:  # an empty level has no extensions either
+            break
+        for k in range(lo, hi):
+            prefix = out[k].factors
+            room = D - sum(len(b) * e for b, e in prefix)
+            last = prefix[-1][0]
+            for base, blen, ends in tails:
+                # Every factor holds a base object from tails, so "is" tests it.
+                if base is last or blen > room:
+                    continue
+                for tail in ends[: room // blen]:
+                    p = new(cls)
+                    put(p, "factors", prefix + tail)
+                    out.append(p)
+        lo = hi
     return out
 
 
@@ -196,6 +224,10 @@ class RowEchelon:
     def _prepare(self, row: LinComb) -> dict:
         if self._modp:
             p = self.field.p
+            # Copying a dict reuses its keys' hashes; a comprehension rehashes
+            # every monomial, so it is kept for rows that need reducing.
+            if all(0 < c < p for c in row.values()):
+                return dict(row)
             return {w: c % p for w, c in row.items() if c % p}
         den = 1
         for c in row.values():
@@ -212,22 +244,18 @@ class RowEchelon:
         """Residual of a row against the current basis (empty iff in the span)."""
         row = self._prepare(row)
         while row:
-            lead = max(row, key=_deglex)
+            lead, b = max(row.items(), key=_deglex_term)
             piv = self._pivots.get(lead)
             if piv is None:
                 return row
             if self._modp:
                 p = self.field.p
-                factor = row[lead]
                 for w, c in piv.items():
-                    acc = (row.get(w, 0) - factor * c) % p
+                    acc = (row.pop(w, 0) - b * c) % p
                     if acc:
                         row[w] = acc
-                    else:
-                        row.pop(w, None)
             else:
                 a = piv[lead]
-                b = row[lead]
                 new: dict = {}
                 for w in row.keys() | piv.keys():
                     v = a * row.get(w, 0) - b * piv.get(w, 0)
@@ -244,12 +272,13 @@ class RowEchelon:
         res = self.reduce(row)
         if not res:
             return False
-        lead = max(res, key=_deglex)
+        lead, top = max(res.items(), key=_deglex_term)
         if self._modp:
-            p = self.field.p
-            factor = self.field.inv(res[lead])
-            res = {w: c * factor % p for w, c in res.items()}
-        elif res[lead] < 0:
+            if top != 1:
+                p = self.field.p
+                factor = self.field.inv(top)
+                res = {w: c * factor % p for w, c in res.items()}
+        elif top < 0:
             res = {w: -c for w, c in res.items()}
         self._pivots[lead] = res
         return True

@@ -136,6 +136,36 @@ def test_prod_folds_in_order():
     assert g.prod([]) == 0
 
 
+def test_prod_equals_mul_fold():
+    rng = random.Random(4)
+    for spec in (sh.cyclic(5), sh.symmetric(4), sh.product(sh.dihedral(3), sh.cyclic(2))):
+        g = sh.build_group(spec)
+        for n in (0, 1, 2, 17, 300):
+            seq = [rng.randrange(g.order) for _ in range(n)]
+            assert g.prod(seq) == functools.reduce(g.mul, seq, 0)
+            assert g.prod(iter(seq)) == g.prod(tuple(seq)) == g.prod(seq)
+
+
+def test_prod_names_the_first_offending_element():
+    g = sh.build_group(sh.symmetric(3))
+    for seq, bad in (([1, 6, -1], 6), ([1, -1, 6], -1), ([0, 2, 9, True], 9),
+                     ([5] * 1000 + [6], 6)):
+        with pytest.raises(ValueError, match=rf"^element index {bad} out of range \[0,5\]\.$"):
+            g.prod(seq)
+
+
+def test_prod_rejects_bools_and_non_ints():
+    g = sh.build_group(sh.symmetric(3))
+    for seq, bad in (([1, True], "True"), ([False], "False"), ([1, 2.0, 3], "2.0"),
+                     ([1, "2"], "'2'"), ([None, 7], "None"), ([np.int64(1)], repr(np.int64(1)))):
+        with pytest.raises(ValueError) as err:
+            g.prod(seq)
+        assert str(err.value).startswith(f"element index {bad} out of range")
+    # An int subclass other than bool is an int, as for mul.
+    Small = type("Small", (int,), {})
+    assert g.prod([Small(1), 2]) == g.mul(Small(1), 2)
+
+
 def test_custom_table_names():
     g = sh.build_group(sh.table([[0, 1], [1, 0]], names=["e", "s"]))
     assert g.name_of(1) == "s"

@@ -498,6 +498,41 @@ def test_memo_path_equals_direct_path_in_any_order(make, letters):
             assert sh.normalize(alg, w, 10**6, chain) == direct[w]
 
 
+def test_chain_decodes_each_monomial_once():
+    alg = _fixture_algebra()
+    rng = random.Random(3)
+    words = _random_words(rng, "xy", 200, 7)
+    words.sort(key=lambda w: w[::-1])
+    chain = sh.SuffixChain()
+    forms = [sh.normalize(alg, w, memo=chain) for w in words]
+    assert forms == [sh.normalize(alg, w) for w in words]
+    # Equal monomials come back as one shared tuple.
+    first: dict = {}
+    for form in forms:
+        for mono in form:
+            assert first.setdefault(mono, mono) is mono
+    assert len(first) < sum(map(len, forms))
+    twice = [sh.normalize(alg, w, memo=chain) for w in (("x", "y"), ("y", "y", "x"))]
+    assert twice[0] == twice[1] == {("y", "y", "x"): 1}
+    assert next(iter(twice[0])) is next(iter(twice[1]))
+
+
+def test_chain_decode_map_follows_the_spec():
+    # x, y and a, b intern to the same bytes, so one chain that crossed from
+    # one spec to the other must not hand back the other spec's tuples.
+    group = sh.build_group(sh.cyclic(2))
+    xy = _fixture_algebra()
+    ab = sh.AlgebraSpec(
+        sh.GradedAlphabet(group, [("a", 1), ("b", 0)]),
+        [sh.RewriteRule(lhs=("a", "b"), rhs=((("b", "b", "a"), 1),))],
+    )
+    chain = sh.SuffixChain()
+    for alg, word in [(xy, "xy"), (ab, "ab"), (xy, "xxy"), (ab, "aab"), (ab, "ab")]:
+        got = sh.normalize(alg, tuple(word), memo=chain)
+        assert got == sh.normalize(alg, tuple(word))
+        assert all(set(mono) <= set(alg.alphabet.symbols) for mono in got)
+
+
 def test_memo_closed_form_charges_fold_steps_on_both_paths():
     # nf(x^a y^b) = y^(b 2^a) x^a in exactly b (2^a - 1) steps, charged in
     # full on the memo path even when the chain already holds a suffix.

@@ -1,6 +1,8 @@
 """Powered-product enumeration and witnessed-spanning verdicts."""
 
+import copy
 import gc
+import pickle
 import random
 import weakref
 
@@ -92,6 +94,46 @@ def test_enumerate_products_respects_caps():
 
 def test_enumerate_products_deduplicates_bases():
     assert len(sh.enumerate_products([("x",), ("x",)], 1, 3)) == 3
+
+
+def _naive_products(bases, h, D):
+    # The depth-first enumerator with a final sort, kept as the oracle for the
+    # level-by-level walk.
+    uniq = list(dict.fromkeys(tuple(b) for b in bases))
+    out = []
+    stack = [((), 0, None)]
+    while stack:
+        prefix, used, last = stack.pop()
+        for base in uniq:
+            if base == last:
+                continue
+            for exp in range(1, (D - used) // len(base) + 1):
+                factors = prefix + ((base, exp),)
+                out.append(sh.PoweredProduct(factors))
+                if len(factors) < h:
+                    stack.append((factors, used + len(base) * exp, base))
+    out.sort(key=lambda p: (p.count, p.factors))
+    return out
+
+
+def test_enumerate_products_walk_matches_naive_enumerator():
+    rng = random.Random(23)
+    for _ in range(400):
+        bases = [tuple(rng.choice("xyz") for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 5))]
+        bases += rng.sample(bases, rng.randint(0, len(bases)))  # repeated bases
+        rng.shuffle(bases)
+        h, D = rng.randint(1, 4), rng.randint(1, 12)
+        prods = sh.enumerate_products(bases, h, D)
+        assert [p.factors for p in prods] == \
+            [p.factors for p in _naive_products(bases, h, D)], (bases, h, D)
+        assert all(sh.PoweredProduct(p.factors) == p for p in prods)
+
+
+def test_powered_products_copy_and_pickle():
+    for p in sh.enumerate_products([("x", "y"), ("y",)], 3, 5):
+        assert copy.copy(p) == p == pickle.loads(pickle.dumps(p))
+        assert copy.deepcopy(p).factors == p.factors
 
 
 def test_enumerate_products_frees_products_without_cyclic_gc():
@@ -201,6 +243,41 @@ def test_row_echelon_agrees_across_fields():
         ef.add({k: F.mul(F.parse(str(v.numerator)), F.inv(F.parse(str(v.denominator))))
                 for k, v in r.items()})
     assert eq.rank == ef.rank == 2
+
+
+def test_row_echelon_over_fp_takes_unreduced_rows():
+    # Coefficients >= p, negative ones and multiples of p reduce to the same
+    # rows as their residues; only rows already in [1, p) are copied as is.
+    F = sh.PrimeField(7)
+    rng = random.Random(5)
+    words = [("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "a")]
+    for _ in range(60):
+        reduced, raw = [], []
+        for _ in range(rng.randint(1, 6)):
+            row = {w: rng.randrange(7) for w in rng.sample(words, rng.randint(1, 4))}
+            reduced.append({w: c for w, c in row.items() if c})
+            raw.append({w: c + 7 * rng.randint(-3, 3) for w, c in row.items()})
+        probe_reduced = {w: rng.randrange(1, 7) for w in words}
+        probe_raw = {w: c - 7 * rng.randint(0, 2) for w, c in probe_reduced.items()}
+        e1, e2 = sh.RowEchelon(F), sh.RowEchelon(F)
+        assert [e1.add(r) for r in reduced] == [e2.add(r) for r in raw]
+        assert e1.rank == e2.rank
+        assert e1.reduce(probe_reduced) == e2.reduce(probe_raw)
+        assert e1.reduce({}) == e2.reduce({w: 7 * k for k, w in enumerate(words)}) == {}
+
+
+def test_missing_unchanged_by_unreduced_rows(monkeypatch):
+    # The same check with every normal form scaled by 8, -6 and 15, all 1
+    # mod 7: ranks and missing monomials must not move.
+    alg = _free_algebra(sh.PrimeField(7))
+    expect = sh.is_shirshov_base(alg, [("x",), ("y",)], h=2, d=3)
+    normalize = sh.spanning.normalize
+    for scale in (8, -6, 15):
+        monkeypatch.setattr(sh.spanning, "normalize", lambda *args, k=scale, **kw: {
+            w: k * c for w, c in normalize(*args, **kw).items()})
+        got = sh.is_shirshov_base(alg, [("x",), ("y",)], h=2, d=3)
+        assert got == expect
+        assert got.missing == (("x", "y", "x"), ("y", "x", "y"))
 
 
 # ----------------------------------------------------------- is_shirshov_base
