@@ -165,15 +165,10 @@ class FiniteGroup:
     def prod(self, elems: Iterable[int]) -> int:
         """Left-to-right product of a sequence of elements (identity if empty)."""
         m = self.order
-        seq = list(elems)
-        # One check over the whole sequence; only a sequence that fails it
-        # (or holds int subclasses) is walked to find its first offender.
-        if seq and (not set(map(type, seq)) <= {int} or min(seq) < 0 or max(seq) >= m):
-            for g in seq:
-                self._check_index(g)
         flat = memoryview(self.cayley.ravel())
         acc = 0
-        for g in seq:
+        for g in elems:
+            self._check_index(g)
             acc = flat[acc * m + g]
         return acc
 

@@ -559,7 +559,8 @@ class SuffixChain:
     word before, which is what ordering the run by reversed word maximizes.
     The chain holds one word's suffixes at a time.  It also decodes each
     distinct monomial of the results once, so equal normal forms share one
-    tuple; that map grows with the run and is dropped when the spec changes.
+    tuple.  That map keeps every distinct monomial the chain has returned and
+    is dropped only when the spec changes, so make a fresh chain for each run.
     """
 
     __slots__ = ("_spec", "_word", "_forms", "_words")
