@@ -25,11 +25,14 @@ def integer(x: object, what: str, lo: int | None = None, hi: int | None = None) 
     """A JSON integer, not a boolean, in [lo, hi]; None leaves that side open."""
     if type(x) is int and (lo is None or x >= lo) and (hi is None or x <= hi):
         return x
+    raise ValueError(f"{what} must be an integer{bounds(lo, hi)}, got {x!r}.")
+
+
+def bounds(lo: int | None, hi: int | None) -> str:
+    """The range of an integer check as message text, e.g. " in [0,3]" or " >= 1"."""
     if lo is not None and hi is not None:
-        where = f" in [{lo},{hi}]"
-    else:
-        where = f" >= {lo}" if lo is not None else f" <= {hi}" if hi is not None else ""
-    raise ValueError(f"{what} must be an integer{where}, got {x!r}.")
+        return f" in [{lo},{hi}]"
+    return f" >= {lo}" if lo is not None else f" <= {hi}" if hi is not None else ""
 
 
 def array(x: object, what: str, item=None, length: int | None = None) -> list:

@@ -47,6 +47,9 @@ EXIT_BAD_INPUT = 2
 EXIT_NOT_WITNESSED = 3
 EXIT_BUDGET = 4
 
+# The largest `bench` n, checked before a trial allocates its arrays of n + 1.
+BENCH_MAX_N = 100_000_000
+
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -85,6 +88,7 @@ def _int_field(
     flag: Optional[int] = None,
     default: Optional[int] = None,
     minimum: Optional[int] = None,
+    maximum: Optional[int] = None,
     required: bool = False,
 ) -> Optional[int]:
     """An integer from the --flag, else the payload field, else the default.
@@ -95,12 +99,12 @@ def _int_field(
     if value is None and not required:
         return default
     try:
-        return _wire.integer(value, name, lo=minimum)
+        return _wire.integer(value, name, lo=minimum, hi=maximum)
     except ValueError:
-        at_least = f" >= {minimum}" if minimum is not None else ""
         raise _CliError(
             EXIT_BAD_INPUT,
-            f"{command} needs integer \"{name}\"{at_least}, got {value!r}.",
+            f"{command} needs integer \"{name}\"{_wire.bounds(minimum, maximum)}, "
+            f"got {value!r}.",
         ) from None
 
 
@@ -217,7 +221,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         cfg = _wire.fields(cfg, "bench payload", optional=("group", "n", "trials", "seed"))
         group_json = cfg.get("group", {"cyclic": 17})
-        n = _int_field("bench", cfg, "n", default=1_000_000, minimum=0)
+        n = _int_field("bench", cfg, "n", default=1_000_000, minimum=0, maximum=BENCH_MAX_N)
         trials = _int_field("bench", cfg, "trials", args.trials, default=3, minimum=1)
         seed = _int_field("bench", cfg, "seed", args.seed, default=0, minimum=0)
         group = build_group(spec_from_json(group_json))

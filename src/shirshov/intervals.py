@@ -149,6 +149,10 @@ def decompose_optimal(seq: GradeSequence) -> Decomposition:
     and among equally good interval starts the earliest (longest interval)
     wins.  Sequences of at least _VECTOR_RATIO * |G| elements take a
     vectorized path over prefix_products with identical output.
+
+    No two returned intervals are adjacent: [j+1, i] starts after the first
+    prefix j with (f(j), phi(j)) = (f(i), phi(i)), phi(j) being the best
+    coverage of the first j positions minus j, and such a j >= 1 is skipped.
     """
     n, m = len(seq), seq.group.order
     if n >= _VECTOR_RATIO * m:
@@ -218,15 +222,16 @@ def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
     # best[] entry; that update is applied and the scan resumes.  best[]
     # entries only ever increase within [-(m-1), 0], so there are at most
     # m*(m+1) such events in total.
+    # The traceback needs only first[(v, phi)], the first prefix with that
+    # pair, which is an event: prefix i ends the interval [j+1, i] when
+    # j = first[(f(i), phi(i))] < i, else i is skipped and phi(i-1) = phi(i)+1.
     n = len(f) - 1
     neg = -(1 << 30)
     best_val = np.full(m, neg, dtype=np.int32)
     best_val[0] = 0
-    events: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    events[0].append((0, 0, 0))  # (prefix position, value, interval start j)
+    first = {(0, 0): 0}
 
-    phi = np.empty(n + 1, dtype=np.int32)
-    phi[0] = 0
+    phi = 0  # phi(start - 1)
     start = 1
     chunk = 1 << 12
     while start <= n:
@@ -235,45 +240,38 @@ def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
         b = best_val[fb]
         t = np.arange(start, end + 1, dtype=np.int32)
         scan = np.maximum.accumulate(b + t)
-        np.maximum(scan, np.int32(int(phi[start - 1]) + start - 1), out=scan)
+        np.maximum(scan, np.int32(phi + start - 1), out=scan)
         pb = scan - t
         upd = np.flatnonzero(pb > b)
         if upd.size:
             k = int(upd[0])
             i_star = start + k
-            phi[start : i_star + 1] = pb[: k + 1]
             v = int(f[i_star])
-            val = int(pb[k])
-            best_val[v] = val
-            events[v].append((i_star, val, i_star))
+            phi = int(pb[k])
+            best_val[v] = phi
+            first[(v, phi)] = i_star
             start = i_star + 1
             # Events come in bursts: restart at about twice the gap just
             # scanned, so a burst costs chunks of its own size.
             chunk = max(64, 2 * (k + 1))
         else:
-            phi[start : end + 1] = pb
+            phi = int(pb[-1])
             start = end + 1
             chunk = min(chunk << 1, 1 << 22)
 
-    # Replay the forward decisions from the event log, newest events first.
+    coverage = phi + n
     intervals: list[Interval] = []
-    ptr = [len(ev) - 1 for ev in events]
     i = n
     while i > 0:
-        v = int(f[i])
-        p = ptr[v]
-        ev = events[v]
-        while p >= 0 and ev[p][0] > i - 1:
-            p -= 1
-        ptr[v] = p
-        if p >= 0 and ev[p][1] >= int(phi[i - 1]) - 1:
-            j = ev[p][2]
+        j = first[(int(f[i]), phi)]
+        if j < i:
             intervals.append(Interval(j + 1, i))
             i = j
         else:
             i -= 1
+            phi += 1
     intervals.reverse()
-    return intervals, int(phi[n]) + n
+    return intervals, coverage
 
 
 def _complement(intervals: Sequence[Interval], n: int) -> list[int]:

@@ -501,15 +501,9 @@ def check_graded_theorem(
 
     neutral = _span_check(spec, bases, h, d, D, 0, step_budget)
 
-    full = list(bases)
-    have = set(bases)
-    for sym in alphabet.symbols:
-        w = (sym,)
-        if w not in have:
-            have.add(w)
-            full.append(w)
-    hb = height_bound(h, m)
-    total = _span_check(spec, full, hb, d, D, None, step_budget)
+    # enumerate_products drops the generators already in S_e.
+    full = bases + [(sym,) for sym in alphabet.symbols]
+    total = _span_check(spec, full, height_bound(h, m), d, D, None, step_budget)
 
     if VIOLATED in (neutral.verdict, total.verdict):
         verdict = VIOLATED
@@ -522,7 +516,7 @@ def check_graded_theorem(
         verdict=verdict,
         degree_cap=d,
         expansion_cap=D,
-        height=hb,
+        height=total.height,
         rank_products=total.rank_products,
         rank_joint=total.rank_joint,
         missing=missing,

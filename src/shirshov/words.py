@@ -3,8 +3,8 @@
 Every word w = w_1 ... w_n over a group-graded alphabet factors as
 y_1 a_1 y_2 a_2 ... where each A-segment a_i is a block whose grades multiply
 to the identity and the Y-segments collect the leftover letters.  The
-A-segments come from an optimal interval decomposition of the grade sequence
-(adjacent chosen intervals merged), so the Y-segments hold at most |G| - 1
+A-segments are the intervals of an optimal decomposition of the grade
+sequence, which are never adjacent, so the Y-segments hold at most |G| - 1
 letters in total.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _wire
 from .groups import FiniteGroup, build_group, spec_from_json, spec_to_json
-from .intervals import GradeSequence, decompose_optimal
+from .intervals import GradeSequence, decompose_optimal, prefix_products
 
 __all__ = [
     "GradedAlphabet",
@@ -118,26 +118,23 @@ def grade_of(alphabet: GradedAlphabet, word: Sequence[str]) -> int:
     return acc
 
 
-def factorize(alphabet: GradedAlphabet, word: Sequence[str]) -> Factorization:
-    """Factor a word into maximal identity-grade A-segments and leftover Y-segments."""
+def _grade_sequence(alphabet: GradedAlphabet, word: Sequence[str]) -> GradeSequence:
+    # Every letter's grade, read once; an unknown symbol raises ValueError.
     try:
         grades = np.fromiter(map(alphabet._grades.__getitem__, word), dtype=np.int32,
                              count=len(word))
     except KeyError as err:
         alphabet.grade(err.args[0])  # raises the unknown-symbol ValueError
         raise
-    dec = decompose_optimal(GradeSequence(alphabet.group, grades))
+    return GradeSequence(alphabet.group, grades)
 
-    merged: list[list[int]] = []
-    for iv in dec.intervals:
-        if merged and merged[-1][1] + 1 == iv.start:
-            merged[-1][1] = iv.end
-        else:
-            merged.append([iv.start, iv.end])
 
+def factorize(alphabet: GradedAlphabet, word: Sequence[str]) -> Factorization:
+    """Factor a word into maximal identity-grade A-segments and leftover Y-segments."""
+    dec = decompose_optimal(_grade_sequence(alphabet, word))
     segments: list[Segment] = []
     nxt = 1
-    for a, b in merged:
+    for a, b in dec.intervals:
         if nxt < a:
             segments.append(Segment("Y", nxt, a - 1))
         segments.append(Segment("A", a, b))
@@ -184,7 +181,9 @@ def verify_factorization(
     """Check every factorization invariant for a claimed factorization."""
     word = tuple(word)
     n = len(word)
-    m = alphabet.group.order
+    group = alphabet.group
+    m = group.order
+    f = prefix_products(_grade_sequence(alphabet, word))
     violations: list[str] = []
 
     nxt = 1
@@ -204,35 +203,30 @@ def verify_factorization(
         violations.append(f"segments stop at {nxt - 1}, word has length {n}.")
 
     for prev, cur in zip(fact.segments, fact.segments[1:]):
-        if prev.tag == cur.tag == "A":
+        if prev.tag == cur.tag in ("A", "Y"):
             violations.append(
-                f"adjacent A-segments [{prev.start},{prev.end}] and "
-                f"[{cur.start},{cur.end}] are not merged."
-            )
-        elif prev.tag == cur.tag == "Y":
-            violations.append(
-                f"adjacent Y-segments [{prev.start},{prev.end}] and "
+                f"adjacent {cur.tag}-segments [{prev.start},{prev.end}] and "
                 f"[{cur.start},{cur.end}] are not merged."
             )
 
-    for seg in fact.segments:
-        if seg.tag == "A" and 1 <= seg.start <= seg.end <= n:
-            g = grade_of(alphabet, word[seg.start - 1 : seg.end])
-            if g != 0:
-                violations.append(
-                    f"A-segment [{seg.start},{seg.end}] has grade "
-                    f"{alphabet.group.name_of(g)}, not the identity."
-                )
+    # [a, b] has identity grade iff f(a-1) = f(b); its grade is f(a-1)^-1 f(b).
+    spans = [(s.start, s.end) for s in fact.segments
+             if s.tag == "A" and 1 <= s.start <= s.end <= n]
+    ends = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    for i in np.flatnonzero(f[ends[:, 0] - 1] != f[ends[:, 1]]):
+        a, b = spans[i]
+        g = group.mul(group.inverse(int(f[a - 1])), int(f[b]))
+        violations.append(
+            f"A-segment [{a},{b}] has grade {group.name_of(g)}, not the identity."
+        )
 
-    y_total = sum(s.length for s in fact.segments if s.tag == "Y")
     y_count = sum(1 for s in fact.segments if s.tag == "Y")
-    k = sum(1 for s in fact.segments if s.tag == "A")
-    if y_total > m - 1:
-        violations.append(f"Y-segments hold {y_total} letters, more than |G|-1={m - 1}.")
+    if fact.y_total > m - 1:
+        violations.append(f"Y-segments hold {fact.y_total} letters, more than |G|-1={m - 1}.")
     if y_count > m - 1:
         violations.append(f"{y_count} Y-segments, more than |G|-1={m - 1}.")
-    if k > m:
-        violations.append(f"{k} A-segments, more than |G|={m}.")
+    if fact.k > m:
+        violations.append(f"{fact.k} A-segments, more than |G|={m}.")
 
     return FactorizationReport(violations=tuple(violations))
 

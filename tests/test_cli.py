@@ -335,6 +335,7 @@ def test_bench_zero_length(capsys):
 
 def test_bench_rejects_bad_config(capsys):
     assert run(capsys, "bench", "--json", '{"n": -1}')[0] == EXIT_BAD_INPUT
+    assert run(capsys, "bench", "--json", '{"n": 100000001}')[0] == EXIT_BAD_INPUT
     assert run(capsys, "bench", "--json", '{"n": 10, "trials": 0}')[0] == EXIT_BAD_INPUT
     assert run(capsys, "bench", "--json", '{"group": {"cyclic": 0}}')[0] == EXIT_BAD_INPUT
 
@@ -449,6 +450,23 @@ def test_oversized_group_exits_two_under_memory_limit(group):
     )
     assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
     assert "exceeds the cap of 4096" in proc.stderr
+
+
+def test_oversized_bench_exits_two_under_memory_limit():
+    # A 2 GB address-space limit, as under `ulimit -v 2000000`: n is rejected
+    # before any array is allocated, so no MemoryError can occur.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "shirshov.cli", "bench",
+         "--json", json.dumps({"n": 10 ** 12, "trials": 1})],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ('error: bench needs integer "n" in [0,100000000], '
+                           'got 1000000000000.\n')
 
 
 def test_largest_group_decomposes_under_memory_limit():

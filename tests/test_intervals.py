@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import shirshov as sh
-from shirshov.intervals import _optimal_core_reference, _optimal_core_vector, _scan
+from shirshov.intervals import (
+    _VECTOR_RATIO,
+    _optimal_core_reference,
+    _optimal_core_vector,
+    _scan,
+)
 
 
 def _seq(spec, elems):
@@ -272,6 +277,19 @@ def test_vectorized_path_used_above_threshold():
         assert dec.coverage == cov
         assert list(dec.intervals) == ivs
         assert sh.verify_decomposition(seq, dec).violations == ()
+
+
+def test_decompose_never_returns_adjacent_intervals():
+    # Sizes on both sides of the vector threshold, so both cores are covered.
+    rng = random.Random(29)
+    for spec in (sh.symmetric(5), sh.symmetric(6)):
+        group = sh.build_group(spec)
+        threshold = _VECTOR_RATIO * group.order
+        for n in (rng.randrange(600, 20_000), threshold + rng.randrange(1000)):
+            for kind, elems in _structured_sequences(group, rng, n).items():
+                ivs = sh.decompose_optimal(sh.GradeSequence(group, elems)).intervals
+                assert all(cur.start > prev.end + 1 for prev, cur in zip(ivs, ivs[1:])), \
+                    (group.order, n, kind)
 
 
 def test_numpy_inputs_accepted():

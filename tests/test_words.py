@@ -85,11 +85,25 @@ def test_factorize_inputs_and_unknown_symbol():
 
 
 def test_factorize_merges_adjacent_intervals():
-    # Grades 0,0,1,1 decompose into adjacent identity-product intervals that
-    # must come back as one A-segment.
+    # Grades 0,0,1,1 have adjacent identity-product intervals; the optimal
+    # decomposition takes the whole word, so one A-segment comes back.
     fact = sh.factorize(_z2_alphabet(), ("y", "y", "x", "x"))
     assert [(s.tag, s.start, s.end) for s in fact.segments] == [("A", 1, 4)]
     assert fact.k == 1
+
+
+def test_factorize_a_segments_are_the_decomposition_intervals():
+    # Words on both sides of the vector threshold of decompose_optimal.
+    rng = random.Random(41)
+    for spec, sizes in ((sh.symmetric(3), (60, 7000)), (sh.cyclic(5), (40, 6000))):
+        group = sh.build_group(spec)
+        alpha = sh.GradedAlphabet(group, [(f"g{k}", k) for k in range(group.order)])
+        for _ in range(20):
+            grades = [rng.randrange(group.order) for _ in range(rng.choice(sizes))]
+            fact = sh.factorize(alpha, [f"g{k}" for k in grades])
+            dec = sh.decompose_optimal(sh.GradeSequence(group, grades))
+            assert [(s.start, s.end) for s in fact.segments if s.tag == "A"] == \
+                [tuple(iv) for iv in dec.intervals]
 
 
 def test_power_count_examples():
@@ -131,12 +145,58 @@ def test_verify_flags_bad_a_segment_grade():
     assert any("not the identity" in v for v in rep.violations)
 
 
+def test_verify_names_the_grade_of_a_bad_a_segment():
+    group = sh.build_group(sh.symmetric(3))
+    alpha = sh.GradedAlphabet(group, [(f"g{k}", k) for k in range(group.order)])
+    rng = random.Random(3)
+    for _ in range(50):
+        word = tuple(f"g{rng.randrange(group.order)}" for _ in range(rng.randrange(2, 12)))
+        a = rng.randrange(1, len(word) + 1)
+        segments = [sh.Segment("A", a, len(word))]
+        if a > 1:
+            segments.insert(0, sh.Segment("Y", 1, a - 1))
+        rep = sh.verify_factorization(alpha, word, sh.Factorization(tuple(segments)))
+        g = sh.grade_of(alpha, word[a - 1 :])
+        bad = [v for v in rep.violations if v.startswith("A-segment")]
+        if g == 0:
+            assert bad == []
+        else:
+            assert bad == [f"A-segment [{a},{len(word)}] has grade "
+                           f"{group.name_of(g)}, not the identity."]
+
+
+def test_verify_rejects_unknown_symbols_like_factorize():
+    # The unknown letter sits in a Y-segment, which no grade check reads.
+    alpha = _z2_alphabet()
+    word = ("w", "y")
+    fact = sh.Factorization(segments=(sh.Segment("Y", 1, 1), sh.Segment("A", 2, 2)))
+    with pytest.raises(ValueError) as expected:
+        sh.factorize(alpha, word)
+    with pytest.raises(ValueError) as got:
+        sh.verify_factorization(alpha, word, fact)
+    assert str(got.value) == str(expected.value) == "unknown symbol 'w'."
+
+
 def test_verify_flags_unmerged_a_segments():
     alpha = _z2_alphabet()
     word = ("y", "y")
     fact = sh.Factorization(segments=(sh.Segment("A", 1, 1), sh.Segment("A", 2, 2)))
     rep = sh.verify_factorization(alpha, word, fact)
     assert any("not merged" in v for v in rep.violations)
+
+
+def test_verify_adjacent_segment_messages():
+    alpha = _z2_alphabet()
+    word = ("y", "y", "x", "y")
+    fact = sh.Factorization(segments=(
+        sh.Segment("A", 1, 1), sh.Segment("A", 2, 2),
+        sh.Segment("Y", 3, 3), sh.Segment("Y", 4, 4),
+    ))
+    rep = sh.verify_factorization(alpha, word, fact)
+    assert [v for v in rep.violations if "not merged" in v] == [
+        "adjacent A-segments [1,1] and [2,2] are not merged.",
+        "adjacent Y-segments [3,3] and [4,4] are not merged.",
+    ]
 
 
 def test_verify_flags_partition_gap():
@@ -164,7 +224,7 @@ def test_segments_partition_word_in_order():
         assert pos == len(word) + 1
         tags = [s.tag for s in fact.segments]
         for t1, t2 in zip(tags, tags[1:]):
-            assert t1 != t2  # strict alternation after merging
+            assert t1 != t2  # strict alternation
 
 
 def test_structure_depends_only_on_grades():
