@@ -51,15 +51,9 @@ EXIT_BUDGET = 4
 BENCH_MAX_N = 100_000_000
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_payload(args: argparse.Namespace, required: bool = True) -> Optional[object]:
     if args.json is not None and args.input is not None:
-        raise _CliError(EXIT_BAD_INPUT, "give either --input or --json, not both.")
+        raise ValueError("give either --input or --json, not both.")
     text: Optional[str] = None
     if args.json is not None:
         text = args.json
@@ -67,18 +61,18 @@ def _load_payload(args: argparse.Namespace, required: bool = True) -> Optional[o
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise _CliError(EXIT_BAD_INPUT, f"cannot read {args.input}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read {args.input}: {exc}") from exc
     if text is None:
         if required:
-            raise _CliError(EXIT_BAD_INPUT, "an input is required: --input FILE or --json STRING.")
+            raise ValueError("an input is required: --input FILE or --json STRING.")
         return None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _CliError(EXIT_BAD_INPUT, f"bad JSON: {exc}") from exc
+        raise ValueError(f"bad JSON: {exc}") from exc
     except RecursionError as exc:
-        raise _CliError(EXIT_BAD_INPUT, "bad JSON: nested too deeply.") from exc
+        raise ValueError("bad JSON: nested too deeply.") from exc
 
 
 def _int_field(
@@ -98,14 +92,13 @@ def _int_field(
     value = flag if flag is not None else payload.get(name)
     if value is None and not required:
         return default
-    try:
-        return _wire.integer(value, name, lo=minimum, hi=maximum)
-    except ValueError:
-        raise _CliError(
-            EXIT_BAD_INPUT,
-            f"{command} needs integer \"{name}\"{_wire.bounds(minimum, maximum)}, "
-            f"got {value!r}.",
-        ) from None
+    if type(value) is int and (minimum is None or value >= minimum) and (
+        maximum is None or value <= maximum
+    ):
+        return value
+    raise ValueError(
+        f"{command} needs integer \"{name}\"{_wire.bounds(minimum, maximum)}, got {value!r}."
+    )
 
 
 def _emit(doc: object, lines: list[str], fmt: str) -> None:
@@ -126,10 +119,7 @@ def _emit(doc: object, lines: list[str], fmt: str) -> None:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     payload = _load_payload(args)
-    try:
-        seq = sequence_from_json(payload)
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_INPUT, str(exc)) from exc
+    seq = sequence_from_json(payload)
     dec = decompose_optimal(seq)
     n, m = len(seq), seq.group.order
     bound = lemma_bound(n, m)
@@ -147,15 +137,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
     payload = _load_payload(args)
-    try:
-        payload = _wire.fields(payload, "factorize payload", required=("alphabet", "word"),
-                               optional=("h",))
-        h = _int_field("factorize", payload, "h", args.h, minimum=1)
-        alphabet = alphabet_from_json(payload["alphabet"])
-        word = word_from_json(payload["word"])
-        fact = factorize(alphabet, word)
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_INPUT, str(exc)) from exc
+    payload = _wire.fields(payload, "factorize payload", required=("alphabet", "word"),
+                           optional=("h",))
+    h = _int_field("factorize", payload, "h", args.h, minimum=1)
+    alphabet = alphabet_from_json(payload["alphabet"])
+    word = word_from_json(payload["word"])
+    fact = factorize(alphabet, word)
     doc: dict = {
         "segments": factorization_to_json(fact),
         "k": fact.k,
@@ -179,19 +166,16 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 def _cmd_verify_base(args: argparse.Namespace) -> int:
     payload = _load_payload(args)
-    try:
-        payload = _wire.fields(payload, "verify-base payload", required=("algebra", "base"),
-                               optional=("h", "d", "D", "graded"))
-        h = _int_field("verify-base", payload, "h", args.h, required=True)
-        d = _int_field("verify-base", payload, "d", args.d, required=True)
-        D = _int_field("verify-base", payload, "D", args.D)  # None: the cap is 2*d
-        graded = _wire.boolean(payload.get("graded", False), '"graded"') or args.graded
-        spec = algebra_from_json(payload["algebra"])
-        base = [word_from_json(w) for w in _wire.array(payload["base"], '"base"')]
-        check = check_graded_theorem if graded else is_shirshov_base
-        report = check(spec, base, h, d, D, step_budget=args.steps)
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_INPUT, str(exc)) from exc
+    payload = _wire.fields(payload, "verify-base payload", required=("algebra", "base"),
+                           optional=("h", "d", "D", "graded"))
+    h = _int_field("verify-base", payload, "h", args.h, required=True)
+    d = _int_field("verify-base", payload, "d", args.d, required=True)
+    D = _int_field("verify-base", payload, "D", args.D)  # None: the cap is 2*d
+    graded = _wire.boolean(payload.get("graded", False), '"graded"') or args.graded
+    spec = algebra_from_json(payload["algebra"])
+    base = [word_from_json(w) for w in _wire.array(payload["base"], '"base"')]
+    check = check_graded_theorem if graded else is_shirshov_base
+    report = check(spec, base, h, d, D, step_budget=args.steps)
     lines = [
         f"verdict: {report.verdict}",
         f"height {report.height}, d {report.degree_cap}, D {report.expansion_cap}",
@@ -218,15 +202,12 @@ def _cmd_verify_base(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     payload = _load_payload(args, required=False)
     cfg = {} if args.json is None and args.input is None else payload
-    try:
-        cfg = _wire.fields(cfg, "bench payload", optional=("group", "n", "trials", "seed"))
-        group_json = cfg.get("group", {"cyclic": 17})
-        n = _int_field("bench", cfg, "n", default=1_000_000, minimum=0, maximum=BENCH_MAX_N)
-        trials = _int_field("bench", cfg, "trials", args.trials, default=3, minimum=1)
-        seed = _int_field("bench", cfg, "seed", args.seed, default=0, minimum=0)
-        group = build_group(spec_from_json(group_json))
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_INPUT, str(exc)) from exc
+    cfg = _wire.fields(cfg, "bench payload", optional=("group", "n", "trials", "seed"))
+    group_json = cfg.get("group", {"cyclic": 17})
+    n = _int_field("bench", cfg, "n", default=1_000_000, minimum=0, maximum=BENCH_MAX_N)
+    trials = _int_field("bench", cfg, "trials", args.trials, default=3, minimum=1)
+    seed = _int_field("bench", cfg, "seed", args.seed, default=0, minimum=0)
+    group = build_group(spec_from_json(group_json))
     m = group.order
     # Warm up the Cayley array, allocator and dispatch outside the timed region.
     prefix_products(GradeSequence(group, np.zeros(8192, dtype=np.int64)))
@@ -305,14 +286,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # The one place an exception becomes an exit code.  Every check of the
+    # input raises ValueError; a payload nested past the recursion limit (a
+    # deep "product" group spec) raises RecursionError.
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+    except (ValueError, RecursionError) as exc:
+        code = EXIT_BAD_INPUT
+        message = "input nested too deeply." if isinstance(exc, RecursionError) else str(exc)
     except StepBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code, message = EXIT_BUDGET, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -161,16 +161,6 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         self._check_index(a)
         return self.inv_table[a]
-
-    def prod(self, elems: Iterable[int]) -> int:
-        """Left-to-right product of a sequence of elements (identity if empty)."""
-        m = self.order
-        flat = memoryview(self.cayley.ravel())
-        acc = 0
-        for g in elems:
-            self._check_index(g)
-            acc = flat[acc * m + g]
-        return acc
 
     def name_of(self, a: int) -> str:
         self._check_index(a)

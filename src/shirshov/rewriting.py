@@ -103,9 +103,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -147,9 +144,6 @@ class RationalField:
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
 
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
         return a * b

@@ -37,7 +37,6 @@ __all__ = [
     "SpanReport",
     "RowEchelon",
     "enumerate_products",
-    "span_rank",
     "is_shirshov_base",
     "check_graded_theorem",
     "report_to_json",
@@ -282,23 +281,6 @@ class RowEchelon:
             res = {w: -c for w, c in res.items()}
         self._pivots[lead] = res
         return True
-
-
-def span_rank(
-    spec: AlgebraSpec, words: Sequence[Sequence[str]], step_budget: int | None = None
-) -> int:
-    """Rank of the normal forms of a list of words, by exact elimination."""
-    ech = RowEchelon(spec.field)
-    seen: set[Word] = set()
-    for w in words:
-        w = tuple(w)
-        if w in seen:
-            continue
-        seen.add(w)
-        nf = normalize(spec, w, step_budget)
-        if nf:
-            ech.add(nf)
-    return ech.rank
 
 
 def _irreducible_words(

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, formats, and the exit-code contract."""
 
 import json
+import pathlib
 import resource
 import subprocess
 import sys
@@ -116,6 +117,28 @@ def test_deeply_nested_input_file_exits_two(tmp_path, capsys):
     assert out == "" and err == "error: bad JSON: nested too deeply.\n"
 
 
+def test_deeply_nested_product_spec_exits_two(capsys):
+    # A "product" group spec k deep recurses about twice as deep through
+    # build_group as json.loads does, so near the JSON reader's limit a spec it
+    # parses can still pass the recursion limit.  That depth moves with the
+    # caller's stack, so every depth is tried from the first one the reader
+    # refuses down to the first one that decomposes.
+    def payload(k):
+        spec = '{"product":[' * k + '{"cyclic":1}' + ',{"cyclic":1}]}' * k
+        return '{"group":' + spec + ',"elems":[]}'
+
+    refused = "error: bad JSON: nested too deeply.\n"
+    k = next(2 ** i for i in range(17)
+             if run(capsys, "decompose", "--json", payload(2 ** i))[2] == refused)
+    while True:
+        code, out, err = run(capsys, "decompose", "--json", payload(k))
+        assert code in (EXIT_OK, EXIT_BAD_INPUT), (k, err)
+        if code == EXIT_OK:
+            break
+        assert out == "" and err in (refused, "error: input nested too deeply.\n"), (k, err)
+        k -= 1
+
+
 def test_input_and_json_together_rejected(capsys):
     code, _, err = run(
         capsys, "decompose", "--input", "whatever.json", "--json", "{}"
@@ -134,6 +157,14 @@ def test_unreadable_input_file(capsys, tmp_path):
     code, _, err = run(capsys, "decompose", "--input", str(tmp_path / "gone.json"))
     assert code == EXIT_BAD_INPUT
     assert "cannot read" in err
+
+
+def test_non_utf8_input_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "decompose", "--input", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: cannot read")
 
 
 def test_bad_json_rejected(capsys):
@@ -226,6 +257,38 @@ def test_verify_base_human_format(capsys):
     assert code == EXIT_OK
     assert "verdict: witnessed-spanning" in out
     assert "identity-grade phase" in out
+
+
+README_EXAMPLES = [
+    ({"algebra": FIXTURE_ALGEBRA, "base": [["x"], ["y"]], "h": 2, "d": 6}, EXIT_OK,
+     "verdict: witnessed-spanning\n"
+     "height 2, d 6, D 12\n"
+     "rank products 148, rank joint 148\n"
+     "confluent: true\n"),
+    ({"algebra": FIXTURE_ALGEBRA, "base": [["y"], ["x", "x"]], "h": 2, "d": 6,
+      "graded": True}, EXIT_OK,
+     "verdict: witnessed-spanning\n"
+     "height 5, d 6, D 12\n"
+     "rank products 947, rank joint 947\n"
+     "confluent: true\n"
+     "identity-grade phase: witnessed-spanning (rank products 76, rank joint 76)\n"),
+    ({"algebra": FREE_ALGEBRA, "base": [["x"], ["y"]], "h": 2, "d": 3}, EXIT_NOT_WITNESSED,
+     "verdict: not-witnessed\n"
+     "height 2, d 3, D 6\n"
+     "rank products 42, rank joint 44\n"
+     "confluent: true\n"
+     "missing: x y x, y x y\n"),
+]
+
+
+@pytest.mark.parametrize("payload, exit_code, expected", README_EXAMPLES,
+                         ids=["base", "graded", "free"])
+def test_verify_base_readme_examples(capsys, payload, exit_code, expected):
+    code, out, err = run(capsys, "verify-base", "--format", "human",
+                         "--json", json.dumps(payload))
+    assert (code, out, err) == (exit_code, expected, "")
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert expected in readme
 
 
 def test_verify_base_budget_exit_four(capsys):

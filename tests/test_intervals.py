@@ -40,7 +40,6 @@ def test_prefix_products_match_left_fold():
             fold = list(itertools.accumulate(elems, group.mul, initial=group.id()))
             got = sh.prefix_products(sh.GradeSequence(group, elems))
             assert got.tolist() == fold
-            assert got[-1] == group.prod(elems)
             arr = sh.prefix_products(sh.GradeSequence(group, np.array(elems, dtype=np.int64)))
             assert arr.tolist() == fold
 

@@ -195,33 +195,40 @@ def test_enumerate_products_validation():
         sh.enumerate_products([()], 1, 3)
 
 
-# ---------------------------------------------------------------- span_rank
+# ---------------------------------------------------------------- RowEchelon
 
 
-def test_span_rank_examples():
+def _echelon_rank(alg, words):
+    ech = sh.RowEchelon(alg.field)
+    for w in words:
+        ech.add(sh.normalize(alg, w))
+    return ech.rank
+
+
+def test_row_echelon_ranks_normal_forms():
     alg = _fixture_algebra()
-    assert sh.span_rank(alg, [("x",), ("y",), ("x", "y")]) == 3
-    assert sh.span_rank(alg, []) == 0
-    assert sh.span_rank(alg, [("x",), ("x",)]) == 1
+    assert _echelon_rank(alg, [("x",), ("y",), ("x", "y")]) == 3
+    assert _echelon_rank(alg, []) == 0
+    assert _echelon_rank(alg, [("x",), ("x",)]) == 1
 
 
-def test_span_rank_detects_linear_relation():
-    # y x and the normal form of x y span the same line only if they are
-    # dependent; here NF(xy) = y y x differs from y x, so rank 2.
+def test_row_echelon_detects_linear_relation():
+    # NF(x y) = y y x, so x y and y y x span one line; y x is irreducible and
+    # differs from y y x, so x y and y x span two.
     alg = _fixture_algebra()
-    assert sh.span_rank(alg, [("x", "y"), ("y", "y", "x")]) == 1
-    assert sh.span_rank(alg, [("x", "y"), ("y", "x")]) == 2
+    assert _echelon_rank(alg, [("x", "y"), ("y", "y", "x")]) == 1
+    assert _echelon_rank(alg, [("x", "y"), ("y", "x")]) == 2
 
 
-def test_span_rank_order_invariant():
+def test_row_echelon_rank_is_order_invariant():
     alg = _fixture_algebra()
     words = [("x",), ("y",), ("x", "y"), ("y", "x"), ("x", "x", "y"), ("y", "y")]
-    expect = sh.span_rank(alg, words)
+    expect = _echelon_rank(alg, words)
     rng = random.Random(13)
     for _ in range(10):
         shuffled = words[:]
         rng.shuffle(shuffled)
-        assert sh.span_rank(alg, shuffled) == expect
+        assert _echelon_rank(alg, shuffled) == expect
 
 
 def test_row_echelon_agrees_across_fields():
