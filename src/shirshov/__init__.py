@@ -1,77 +1,13 @@
 """Identity-product interval decompositions, graded word factorizations,
-and Shirshov base verification for finitely presented algebras."""
+and Shirshov base verification for finitely presented algebras.
 
-from .groups import (
-    FiniteGroup,
-    GroupSpec,
-    build_group,
-    cyclic,
-    dihedral,
-    product,
-    spec_from_json,
-    spec_to_json,
-    symmetric,
-    table,
-)
-from .intervals import (
-    Decomposition,
-    DecompositionReport,
-    GradeSequence,
-    Interval,
-    decompose_bruteforce,
-    decompose_optimal,
-    decomposition_from_json,
-    decomposition_to_json,
-    lemma_bound,
-    prefix_products,
-    sequence_from_json,
-    sequence_to_json,
-    verify_decomposition,
-)
-from .rewriting import (
-    DEFAULT_PRIME,
-    DEFAULT_STEP_BUDGET,
-    AlgebraSpec,
-    Ambiguity,
-    Confluence,
-    PrimeField,
-    RationalField,
-    RewriteRule,
-    StepBudgetExceeded,
-    SuffixChain,
-    algebra_from_json,
-    algebra_to_json,
-    check_confluence,
-    field_from_json,
-    normalize,
-)
-from .spanning import (
-    NOT_WITNESSED,
-    VIOLATED,
-    WITNESSED,
-    PoweredProduct,
-    RowEchelon,
-    SpanReport,
-    check_graded_theorem,
-    enumerate_products,
-    is_shirshov_base,
-    report_to_json,
-)
-from .words import (
-    Factorization,
-    FactorizationReport,
-    GradedAlphabet,
-    Segment,
-    alphabet_from_json,
-    alphabet_to_json,
-    factorization_from_json,
-    factorization_to_json,
-    factorize,
-    grade_of,
-    height_bound,
-    power_count,
-    verify_factorization,
-    word_from_json,
-)
+Each module's ``__all__`` is the one list of its public names.
+"""
+
+from .groups import *
+from .intervals import *
+from .rewriting import *
+from .spanning import *
+from .words import *
 
 __version__ = "0.1.0"

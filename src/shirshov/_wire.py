@@ -7,32 +7,29 @@ item(entry, what) on each entry, so checks nest.
 from __future__ import annotations
 
 
-def fields(obj: object, what: str, required=(), optional=()) -> dict:
-    """obj as a dict that has every required key and no key outside the two lists."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be an object, got {obj!r}.")
+def fields(x: object, what: str, required=(), optional=()) -> dict:
+    """x as a dict that has every required key and no key outside the two lists."""
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} must be an object, got {x!r}.")
     for key in required:
-        if key not in obj:
+        if key not in x:
             raise ValueError(f'{what} is missing field "{key}".')
-    for key in obj:
+    for key in x:
         if key not in required and key not in optional:
             allowed = ", ".join(f'"{k}"' for k in (*required, *optional))
             raise ValueError(f'{what} has unknown field "{key}"; it takes {allowed}.')
-    return obj
+    return x
 
 
 def integer(x: object, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """A JSON integer, not a boolean, in [lo, hi]; None leaves that side open."""
     if type(x) is int and (lo is None or x >= lo) and (hi is None or x <= hi):
         return x
-    raise ValueError(f"{what} must be an integer{bounds(lo, hi)}, got {x!r}.")
-
-
-def bounds(lo: int | None, hi: int | None) -> str:
-    """The range of an integer check as message text, e.g. " in [0,3]" or " >= 1"."""
     if lo is not None and hi is not None:
-        return f" in [{lo},{hi}]"
-    return f" >= {lo}" if lo is not None else f" <= {hi}" if hi is not None else ""
+        span = f" in [{lo},{hi}]"
+    else:
+        span = f" >= {lo}" if lo is not None else f" <= {hi}" if hi is not None else ""
+    raise ValueError(f"{what} must be an integer{span}, got {x!r}.")
 
 
 def array(x: object, what: str, item=None, length: int | None = None) -> list:

@@ -24,7 +24,6 @@ from .intervals import (
 from .rewriting import StepBudgetExceeded, algebra_from_json
 from .spanning import (
     NOT_WITNESSED,
-    VIOLATED,
     WITNESSED,
     check_graded_theorem,
     is_shirshov_base,
@@ -51,7 +50,8 @@ EXIT_BUDGET = 4
 BENCH_MAX_N = 100_000_000
 
 
-def _load_payload(args: argparse.Namespace, required: bool = True) -> Optional[object]:
+def _load_payload(args: argparse.Namespace, empty: Optional[dict] = None) -> object:
+    """The parsed --json or --input payload; without either, empty, if given."""
     if args.json is not None and args.input is not None:
         raise ValueError("give either --input or --json, not both.")
     text: Optional[str] = None
@@ -64,9 +64,9 @@ def _load_payload(args: argparse.Namespace, required: bool = True) -> Optional[o
         except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read {args.input}: {exc}") from exc
     if text is None:
-        if required:
+        if empty is None:
             raise ValueError("an input is required: --input FILE or --json STRING.")
-        return None
+        return empty
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -75,30 +75,17 @@ def _load_payload(args: argparse.Namespace, required: bool = True) -> Optional[o
         raise ValueError("bad JSON: nested too deeply.") from exc
 
 
-def _int_field(
-    command: str,
-    payload: dict,
-    name: str,
-    flag: Optional[int] = None,
-    default: Optional[int] = None,
-    minimum: Optional[int] = None,
-    maximum: Optional[int] = None,
-    required: bool = False,
-) -> Optional[int]:
-    """An integer from the --flag, else the payload field, else the default.
-
-    JSON null counts as absent.
-    """
-    value = flag if flag is not None else payload.get(name)
-    if value is None and not required:
-        return default
-    if type(value) is int and (minimum is None or value >= minimum) and (
-        maximum is None or value <= maximum
-    ):
-        return value
-    raise ValueError(
-        f"{command} needs integer \"{name}\"{_wire.bounds(minimum, maximum)}, got {value!r}."
-    )
+def _fold(payload: dict, args: argparse.Namespace, **defaults: Optional[int]) -> dict:
+    """payload with each named flag the user gave in place of its field, and
+    each default in place of a field that is absent or JSON null."""
+    out = dict(payload)
+    for name, default in defaults.items():
+        flag = getattr(args, name, None)
+        if flag is not None:
+            out[name] = flag
+        elif out.get(name) is None:
+            out[name] = default
+    return out
 
 
 def _emit(doc: object, lines: list[str], fmt: str) -> None:
@@ -136,10 +123,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
-    payload = _load_payload(args)
-    payload = _wire.fields(payload, "factorize payload", required=("alphabet", "word"),
-                           optional=("h",))
-    h = _int_field("factorize", payload, "h", args.h, minimum=1)
+    payload = _wire.fields(_load_payload(args), "factorize payload",
+                           required=("alphabet", "word"), optional=("h",))
+    payload = _fold(payload, args, h=None)
+    h = None if payload["h"] is None else _wire.integer(payload["h"], 'factorize "h"', 1)
     alphabet = alphabet_from_json(payload["alphabet"])
     word = word_from_json(payload["word"])
     fact = factorize(alphabet, word)
@@ -165,13 +152,14 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_base(args: argparse.Namespace) -> int:
-    payload = _load_payload(args)
-    payload = _wire.fields(payload, "verify-base payload", required=("algebra", "base"),
-                           optional=("h", "d", "D", "graded"))
-    h = _int_field("verify-base", payload, "h", args.h, required=True)
-    d = _int_field("verify-base", payload, "d", args.d, required=True)
-    D = _int_field("verify-base", payload, "D", args.D)  # None: the cap is 2*d
-    graded = _wire.boolean(payload.get("graded", False), '"graded"') or args.graded
+    payload = _wire.fields(_load_payload(args), "verify-base payload",
+                           required=("algebra", "base"), optional=("h", "d", "D", "graded"))
+    payload = _fold(payload, args, h=None, d=None, D=None)
+    h = _wire.integer(payload["h"], 'verify-base "h"')
+    d = _wire.integer(payload["d"], 'verify-base "d"')
+    # None: the cap is 2*d.
+    D = None if payload["D"] is None else _wire.integer(payload["D"], 'verify-base "D"')
+    graded = _wire.boolean(payload.get("graded", False), 'verify-base "graded"') or args.graded
     spec = algebra_from_json(payload["algebra"])
     base = [word_from_json(w) for w in _wire.array(payload["base"], '"base"')]
     check = check_graded_theorem if graded else is_shirshov_base
@@ -200,13 +188,13 @@ def _cmd_verify_base(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    payload = _load_payload(args, required=False)
-    cfg = {} if args.json is None and args.input is None else payload
-    cfg = _wire.fields(cfg, "bench payload", optional=("group", "n", "trials", "seed"))
+    cfg = _wire.fields(_load_payload(args, empty={}), "bench payload",
+                       optional=("group", "n", "trials", "seed"))
+    cfg = _fold(cfg, args, n=1_000_000, trials=3, seed=0)
     group_json = cfg.get("group", {"cyclic": 17})
-    n = _int_field("bench", cfg, "n", default=1_000_000, minimum=0, maximum=BENCH_MAX_N)
-    trials = _int_field("bench", cfg, "trials", args.trials, default=3, minimum=1)
-    seed = _int_field("bench", cfg, "seed", args.seed, default=0, minimum=0)
+    n = _wire.integer(cfg["n"], 'bench "n"', 0, BENCH_MAX_N)
+    trials = _wire.integer(cfg["trials"], 'bench "trials"', 1)
+    seed = _wire.integer(cfg["seed"], 'bench "seed"', 0)
     group = build_group(spec_from_json(group_json))
     m = group.order
     # Warm up the Cayley array, allocator and dispatch outside the timed region.

@@ -263,8 +263,10 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
 
 def spec_from_json(obj: object) -> GroupSpec:
     """Parse the wire form of a group spec, e.g. {"cyclic": 17}."""
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(f"a group spec is a one-key object, got {obj!r}.")
+    obj = _wire.fields(obj, "group spec",
+                       optional=("cyclic", "dihedral", "symmetric", "product", "table"))
+    if len(obj) != 1:
+        raise ValueError(f"group spec must name exactly one kind, got {obj!r}.")
     (kind, arg), = obj.items()
     if kind == "cyclic":
         return cyclic(_wire.integer(arg, "cyclic order"))
@@ -275,21 +277,19 @@ def spec_from_json(obj: object) -> GroupSpec:
     if kind == "product":
         left, right = _wire.array(arg, '"product"', length=2)
         return product(spec_from_json(left), spec_from_json(right))
-    if kind == "table":
-        arg = _wire.fields(arg, "table spec", required=("table",), optional=("order", "names"))
-        rows = _wire.array(arg["table"], '"table"')
-        m = len(rows)
-        order = _wire.integer(arg.get("order", m), "table spec order")
-        if order != m:
-            raise ValueError(f"table spec order {order} does not match {m} rows.")
-        names = arg.get("names")
-        if names is not None:
-            _wire.array(names, '"names"', item=_wire.string)
-        # Checked here, on the parsed JSON, so no entry reaches numpy unchecked.
-        for r in rows:
-            _wire.array(r, "table row", lambda x, what: _wire.integer(x, what, 0, m - 1), m)
-        return table(rows, names)
-    raise ValueError(f"unknown group kind {kind!r}.")
+    arg = _wire.fields(arg, "table spec", required=("table",), optional=("order", "names"))
+    rows = _wire.array(arg["table"], '"table"')
+    m = len(rows)
+    order = _wire.integer(arg.get("order", m), "table spec order")
+    if order != m:
+        raise ValueError(f"table spec order {order} does not match {m} rows.")
+    names = arg.get("names")
+    if names is not None:
+        _wire.array(names, '"names"', item=_wire.string)
+    # Checked here, on the parsed JSON, so no entry reaches numpy unchecked.
+    for r in rows:
+        _wire.array(r, "table row", lambda x, what: _wire.integer(x, what, 0, m - 1), m)
+    return table(rows, names)
 
 
 def spec_to_json(spec: GroupSpec) -> dict:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,7 +45,11 @@ WITNESSED = "witnessed-spanning"
 NOT_WITNESSED = "not-witnessed"
 VIOLATED = "violated-invariant"
 
+# A check builds at most ENUM_CAP powered products and ENUM_CAP target words,
+# and their expansions, like the target words, hold at most LETTER_CAP
+# letters in all; each is counted before or while anything is built.
 ENUM_CAP = 1_000_000
+LETTER_CAP = 10_000_000
 
 
 def _deglex(mono: Word) -> tuple[int, Word]:
@@ -107,7 +110,8 @@ def enumerate_products(
     The result is deterministic: sorted by factor count, then
     lexicographically by the factor tuples themselves, the order in which
     the level-by-level walk builds them.  The products are counted first:
-    more than ENUM_CAP raise ValueError before any is built.
+    more than ENUM_CAP, or more than LETTER_CAP letters in their expansions,
+    raise ValueError before any is built.
     """
     if h < 1:
         raise ValueError(f"height must be >= 1, got {h}.")
@@ -120,11 +124,7 @@ def enumerate_products(
             raise ValueError("base words must be nonempty.")
         if w not in uniq:
             uniq.append(w)
-    if _count_products([len(w) for w in uniq], h, D) > ENUM_CAP:
-        raise ValueError(
-            f"expansion cap too large: more than {ENUM_CAP} powered products "
-            f"with height <= {h} and expansion length <= {D}."
-        )
+    _count_products([len(w) for w in uniq], h, D)  # raises past either cap
 
     # Level j + 1 extends the level-j products in their sorted order, each by
     # the bases in tuple order and then by ascending exponent, so every level
@@ -162,28 +162,41 @@ def enumerate_products(
 
 
 def _count_products(lengths: Sequence[int], h: int, D: int) -> int:
-    """How many products enumerate_products builds, clipped at ENUM_CAP + 1.
+    """How many products enumerate_products builds.
 
-    The count depends only on the base lengths, so bases of one length share
-    a row: ends[l][L] counts the products of j factors that end in a given
-    base of length l and expand to exactly L letters.  Below the clip every
-    entry is exact; an entry reaching it means the total is past ENUM_CAP,
-    which ends the count.
+    More than ENUM_CAP products, or more than LETTER_CAP letters in their
+    expansions, raise ValueError.  The count depends only on the base
+    lengths, so bases of one length share a row: ends[l][L] counts the
+    products of j factors that end in a given base of length l and expand to
+    exactly L letters.  Entries are clipped at ENUM_CAP + 1: below the clip
+    every entry is exact, and one reaching it means the total is past
+    ENUM_CAP, which ends the count.
     """
+
+    def too_large(what: str) -> ValueError:
+        return ValueError(f"expansion cap too large: more than {what} "
+                          f"with height <= {h} and expansion length <= {D}.")
+
     clip = ENUM_CAP + 1
     single = sum(D // l for l in lengths)
-    if single >= clip or h == 1 or len(lengths) < 2:
-        return min(single, clip)
+    if single >= clip:
+        raise too_large(f"{ENUM_CAP} powered products")
+    if h == 1 or len(lengths) < 2:
+        # Only the powers base^e, e = 1 .. D // l, of l * e letters each.
+        if sum(l * (D // l) * (D // l + 1) // 2 for l in lengths) > LETTER_CAP:
+            raise too_large(f"{LETTER_CAP} letters in the powered products")
+        return single
     # Products p^a q^b and q^a p^b of the two shortest bases bound D, and with
     # it the arrays below, before they are made.
     p, q = sorted(lengths)[:2]
     if single + 2 * int(((D - q * np.arange(1, (D - p) // q + 1)) // p).sum()) >= clip:
-        return clip
+        raise too_large(f"{ENUM_CAP} powered products")
     sizes = Counter(lengths)
     ends = {l: np.zeros(D + 1, dtype=np.int64) for l in sizes}
     every = np.zeros(D + 1, dtype=np.int64)  # products of j factors by length
     every[0] = 1  # the empty product, which any base may extend
-    total = 0
+    span = np.arange(D + 1, dtype=np.int64)
+    total = letters = 0
     for _ in range(min(h, D // p)):  # no product has more than D // p factors
         for l in sizes:
             # Extend every product not ending in this base by base^e, e >= 1:
@@ -192,9 +205,12 @@ def _count_products(lengths: Sequence[int], h: int, D: int) -> int:
             ext[l : l + D + 1] = every - ends[l]
             ends[l] = np.minimum(ext.reshape(-1, l).cumsum(axis=0).ravel()[: D + 1], clip)
         every = sum(c * ends[l] for l, c in sizes.items())
-        total += sum(c * int(ends[l].sum()) for l, c in sizes.items())
+        total += int(every.sum())
         if total >= clip:
-            return clip
+            raise too_large(f"{ENUM_CAP} powered products")
+        letters += int(every @ span)
+        if letters > LETTER_CAP:
+            raise too_large(f"{LETTER_CAP} letters in the powered products")
     return total
 
 
@@ -283,9 +299,7 @@ class RowEchelon:
         return True
 
 
-def _irreducible_words(
-    spec: AlgebraSpec, d: int, grade: int | None = None, cap: int = ENUM_CAP
-) -> list[Word]:
+def _irreducible_words(spec: AlgebraSpec, d: int, grade: int | None = None) -> list[Word]:
     # Every prefix of an irreducible word is irreducible, so grow words one
     # letter at a time and only test for a left-hand side ending at the new
     # last letter.
@@ -293,7 +307,7 @@ def _irreducible_words(
     lhss = [rule.lhs for rule in spec.rules]
     out: list[Word] = []
     layer: list[Word] = [()]
-    count = 0
+    count = letters = 0
     for _ in range(d):
         if not layer:  # no longer word is irreducible either
             break
@@ -304,10 +318,14 @@ def _irreducible_words(
                 if any(nw[-len(l) :] == l for l in lhss if len(l) <= len(nw)):
                     continue
                 count += 1
-                if count > cap:
+                letters += len(nw)
+                if count > ENUM_CAP:
                     raise ValueError(
-                        f"degree cap too large: more than {cap} words of length <= {d}."
+                        f"degree cap too large: more than {ENUM_CAP} words of length <= {d}."
                     )
+                if letters > LETTER_CAP:
+                    raise ValueError(f"degree cap too large: more than {LETTER_CAP} "
+                                     f"letters in the words of length <= {d}.")
                 grown.append(nw)
         layer = grown
         out.extend(layer)

@@ -315,7 +315,7 @@ def test_verify_base_rejects_non_integer_caps(capsys, field, value):
     code, out, err = run(capsys, "verify-base", "--json", json.dumps(doc))
     assert code == EXIT_BAD_INPUT
     assert out == ""
-    assert f'integer "{field}"' in err and "Traceback" not in err
+    assert f'verify-base "{field}" must be an integer' in err and "Traceback" not in err
 
 
 def test_verify_base_reports_confluence(capsys):
@@ -419,6 +419,28 @@ def test_mistyped_payload_field_names_the_field(capsys, argv, field):
     assert code == EXIT_BAD_INPUT
     assert out == ""
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value, payload", [
+    ("factorize", "--h", 0, {"alphabet": Z2_ALPHABET, "word": ["y"]}),
+    ("bench", "--trials", 0, {"n": 10}),
+    ("bench", "--seed", -1, {"n": 10, "trials": 1}),
+], ids=["factorize-h", "bench-trials", "bench-seed"])
+def test_flag_and_field_give_the_same_range_error(capsys, command, flag, value, payload):
+    name = flag[2:]
+    by_flag = run(capsys, command, flag, str(value), "--json", json.dumps(payload))
+    by_field = run(capsys, command, "--json", json.dumps({**payload, name: value}))
+    assert by_flag == by_field
+    code, out, err = by_flag
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err.startswith(f'error: {command} "{name}" must be an integer >=')
+
+
+def test_given_flag_overrides_a_mistyped_field(capsys):
+    payload = json.dumps({"algebra": FIXTURE_ALGEBRA, "base": [["x"], ["y"]], "h": "x", "d": 3})
+    code, doc, err = run_json(capsys, "verify-base", "--h", "2", "--json", payload)
+    assert (code, err) == (EXIT_OK, "")
+    assert doc["height"] == 2 and doc["verdict"] == "witnessed-spanning"
 
 
 # ----------------------------------------------------------------- plumbing
@@ -528,8 +550,34 @@ def test_oversized_bench_exits_two_under_memory_limit():
     )
     assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == ('error: bench needs integer "n" in [0,100000000], '
+    assert proc.stderr == ('error: bench "n" must be an integer in [0,100000000], '
                            'got 1000000000000.\n')
+
+
+@pytest.mark.parametrize("payload, message", [
+    # 10^6 powers x^e of up to 10^6 letters: within ENUM_CAP, but their
+    # expansions hold 5 * 10^11 letters.
+    ({"algebra": {"alphabet": {"group": {"cyclic": 1},
+                               "generators": [{"sym": "x", "grade": 0}]}, "rules": []},
+      "base": [["x"]], "h": 1, "d": 1, "D": 10 ** 6}, "expansion cap too large"),
+    # The irreducible words y^a x^b of length <= d hold about d^3 / 3 letters.
+    ({"algebra": FIXTURE_ALGEBRA, "base": [["x"], ["y"]], "h": 1, "d": 10 ** 30},
+     "degree cap too large"),
+], ids=["product-letters", "target-letters"])
+def test_letter_blowup_exits_two_under_memory_limit(payload, message):
+    # A 2 GB address-space limit, as under `ulimit -v 2000000`: the letters
+    # are counted as the products and words are, so no MemoryError can occur.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "shirshov.cli", "verify-base", "--json", json.dumps(payload)],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {message}: more than 10000000 letters")
+    assert "Traceback" not in proc.stderr
 
 
 def test_largest_group_decomposes_under_memory_limit():

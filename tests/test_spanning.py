@@ -173,6 +173,35 @@ def test_product_count_matches_enumeration():
         len(sh.enumerate_products([("x",), ("y",)], 10 ** 9, 5))
 
 
+@pytest.mark.parametrize("bases, h, D", [
+    ([("x",), ("y",)], 3, 6),
+    ([("x",), ("y", "z"), ("x", "y", "z")], 4, 9),
+    ([("x", "y")], 1, 11),
+], ids=["two-letters", "mixed-lengths", "one-base"])
+def test_enumerate_products_stops_past_the_letter_cap(monkeypatch, bases, h, D):
+    letters = sum(p.expansion_length for p in sh.enumerate_products(bases, h, D))
+    monkeypatch.setattr(sh.spanning, "LETTER_CAP", letters)
+    assert sum(p.expansion_length for p in sh.enumerate_products(bases, h, D)) == letters
+    monkeypatch.setattr(sh.spanning, "LETTER_CAP", letters - 1)
+    with pytest.raises(ValueError, match=f"more than {letters - 1} letters"):
+        sh.enumerate_products(bases, h, D)
+
+
+def test_target_words_read_both_caps_at_call_time(monkeypatch):
+    free = sh.algebra_from_json({"alphabet": {"group": {"cyclic": 1}, "generators": [
+        {"sym": "x", "grade": 0}, {"sym": "y", "grade": 0}]}, "rules": []})
+    # Six words of length <= 2 hold ten letters.
+    monkeypatch.setattr(sh.spanning, "ENUM_CAP", 5)
+    with pytest.raises(ValueError, match="degree cap too large: more than 5 words"):
+        sh.is_shirshov_base(free, [("x",)], 1, 2, 2)
+    monkeypatch.setattr(sh.spanning, "ENUM_CAP", 6)
+    monkeypatch.setattr(sh.spanning, "LETTER_CAP", 9)
+    with pytest.raises(ValueError, match="degree cap too large: more than 9 letters"):
+        sh.is_shirshov_base(free, [("x",)], 1, 2, 2)
+    monkeypatch.setattr(sh.spanning, "LETTER_CAP", 10)
+    assert sh.is_shirshov_base(free, [("x",)], 1, 2, 2).rank_joint == 6
+
+
 def test_enumerate_products_builds_nothing_past_the_cap(monkeypatch):
     built = []
     monkeypatch.setattr(sh.spanning, "PoweredProduct", built.append)

@@ -37,6 +37,7 @@ def _cli(command):
 
 # (reader, a well-formed document, the path to the object that gets the key)
 STRAY_KEY_CASES = {
+    "group spec": (sh.spec_from_json, {"cyclic": 3}, ()),
     "group table spec": (sh.spec_from_json, {"table": {"table": [[0, 1], [1, 0]]}}, ("table",)),
     "sequence": (sh.sequence_from_json, {"group": {"cyclic": 2}, "elems": [1, 1]}, ()),
     "decomposition": (sh.decomposition_from_json,
@@ -69,6 +70,16 @@ def test_stray_key_is_rejected_by_name(name):
     obj["zz"] = 0
     with pytest.raises(ValueError, match='"zz"'):
         read(doc)
+
+
+def test_group_spec_names_exactly_one_kind():
+    for doc in ({}, {"cyclic": 2, "dihedral": 3}):
+        with pytest.raises(ValueError, match="group spec must name exactly one kind"):
+            sh.spec_from_json(doc)
+    with pytest.raises(ValueError, match='group spec has unknown field "banana"'):
+        sh.spec_from_json({"banana": 3})
+    with pytest.raises(ValueError, match="group spec must be an object"):
+        sh.spec_from_json([1, 2])
 
 
 def test_rules_typo_exits_two(capsys):
