@@ -46,8 +46,10 @@ EXIT_BAD_INPUT = 2
 EXIT_NOT_WITNESSED = 3
 EXIT_BUDGET = 4
 
-# The largest `bench` n, checked before a trial allocates its arrays of n + 1.
+# The largest `bench` n, checked before a trial allocates its arrays of n + 1,
+# and the most trials, each of which keeps one result.
 BENCH_MAX_N = 100_000_000
+BENCH_MAX_TRIALS = 1000
 
 
 def _load_payload(args: argparse.Namespace, empty: Optional[dict] = None) -> object:
@@ -193,7 +195,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = _fold(cfg, args, n=1_000_000, trials=3, seed=0)
     group_json = cfg.get("group", {"cyclic": 17})
     n = _wire.integer(cfg["n"], 'bench "n"', 0, BENCH_MAX_N)
-    trials = _wire.integer(cfg["trials"], 'bench "trials"', 1)
+    trials = _wire.integer(cfg["trials"], 'bench "trials"', 1, BENCH_MAX_TRIALS)
     seed = _wire.integer(cfg["seed"], 'bench "seed"', 0)
     group = build_group(spec_from_json(group_json))
     m = group.order
@@ -216,7 +218,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             }
         )
     doc = {
-        "group": spec_to_json(group.spec) if group.spec is not None else group_json,
+        "group": spec_to_json(group.spec),
         "n": n,
         "trials": trials,
         "seed": seed,

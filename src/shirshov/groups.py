@@ -143,12 +143,6 @@ class FiniteGroup:
         self.names = names
         self.spec = spec
 
-    def id(self) -> int:
-        return 0
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def _check_index(self, a: int) -> None:
         if not isinstance(a, (int,)) or isinstance(a, bool) or not 0 <= a < self.order:
             raise ValueError(f"element index {a!r} out of range [0,{self.order - 1}].")

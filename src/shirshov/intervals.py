@@ -115,14 +115,11 @@ def lemma_bound(n: int, m: int) -> int:
 
 def prefix_products(seq: GradeSequence) -> np.ndarray:
     """All prefix products f(0) = e, f(k) = g_1 * ... * g_k, as one numpy array."""
-    return _scan(seq.group.cayley, seq.elems)
-
-
-def _scan(cayley: np.ndarray, elems: Sequence[int] | np.ndarray) -> np.ndarray:
     # The table's dtype is wide enough for the flat index a*m + b.
-    out = np.empty(len(elems) + 1, dtype=cayley.dtype)
+    cayley = seq.group.cayley
+    out = np.empty(len(seq.elems) + 1, dtype=cayley.dtype)
     out[0] = 0
-    out[1:] = elems
+    out[1:] = seq.elems
     _scan_pairs(cayley.ravel(), len(cayley), out[1:])
     return out
 
@@ -169,8 +166,8 @@ def decompose_optimal(seq: GradeSequence) -> Decomposition:
 def _optimal_core_reference(
     cayley: np.ndarray, elems: Sequence[int] | np.ndarray
 ) -> tuple[list[Interval], int]:
-    # phi[i] = (best coverage of the first i positions) - i, a value in
-    # [-(|G|-1), 0]; best_val[v] = max phi[j] over prefixes j with f(j) = v,
+    # phi(i) = (best coverage of the first i positions) - i, a value in
+    # [-(|G|-1), 0]; best_val[v] = max phi(j) over prefixes j with f(j) = v,
     # best_j[v] the earliest j attaining it.
     # A flat view of the table, indexed a*m + b, is zero-copy and cheaper to
     # index than the 2-D view.
@@ -182,7 +179,6 @@ def _optimal_core_reference(
     best_val[0] = 0
     elems = elems.tolist() if isinstance(elems, np.ndarray) else list(elems)
     n = len(elems)
-    phi = [0] * (n + 1)
     choice = [0] * (n + 1)  # 0 = position skipped, else j + 1
     f = 0
     prev_phi = 0
@@ -195,7 +191,6 @@ def _optimal_core_reference(
             choice[i] = best_j[f] + 1
         else:
             cur = skip
-        phi[i] = cur
         if cur > best_val[f]:
             best_val[f] = cur
             best_j[f] = i
@@ -211,7 +206,7 @@ def _optimal_core_reference(
         else:
             i -= 1
     intervals.reverse()
-    return intervals, phi[n] + n
+    return intervals, prev_phi + n
 
 
 def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
@@ -337,11 +332,12 @@ def verify_decomposition(seq: GradeSequence, dec: Decomposition) -> Decompositio
     n = len(seq)
     violations: list[str] = []
 
+    # Plain ints only, as _wire reads them: a bool, float or numpy integer fails.
     shaped: list[Interval] = []
     for iv in dec.intervals:
         a, b = iv
-        if not (isinstance(a, int) and isinstance(b, int)) or a > b or a < 1 or b > n:
-            violations.append(f"interval [{a},{b}] out of range for n={n}.")
+        if type(a) is not int or type(b) is not int or a > b or a < 1 or b > n:
+            violations.append(f"interval [{a!r},{b!r}] out of range for n={n}.")
         else:
             shaped.append(Interval(a, b))
 
@@ -360,15 +356,17 @@ def verify_decomposition(seq: GradeSequence, dec: Decomposition) -> Decompositio
         violations.append(f"interval [{shaped[k].start},{shaped[k].end}] product != identity.")
 
     total = int((ends[:, 1] - ends[:, 0] + 1).sum())
-    if dec.coverage != total:
+    coverage_ok = type(dec.coverage) is int
+    if not coverage_ok or dec.coverage != total:
         violations.append(
-            f"coverage miscount: stated {dec.coverage}, intervals cover {total}."
+            f"coverage miscount: stated {dec.coverage!r}, intervals cover {total}."
         )
 
-    if list(dec.uncovered) != _complement(in_order, n):
+    if (any(type(p) is not int for p in dec.uncovered)
+            or list(dec.uncovered) != _complement(in_order, n)):
         violations.append("uncovered positions do not match the complement.")
 
-    bound_ok = dec.coverage >= lemma_bound(n, seq.group.order)
+    bound_ok = coverage_ok and dec.coverage >= lemma_bound(n, seq.group.order)
     return DecompositionReport(violations=tuple(violations), bound_ok=bound_ok)
 
 

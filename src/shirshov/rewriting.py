@@ -263,20 +263,15 @@ class AlgebraSpec:
         # leftmost-first alternation finds the leftmost occurrence of a
         # longest lhs, the earlier rule winning ties.  Two lhs words that
         # match at one position are prefix-related, so byte length orders
-        # them as symbol length does.  Each lhs maps to (the single rhs term
-        # or None, all rhs terms); a unit coefficient is stored as None so
-        # the rewrite loop can skip the multiplication.
-        one = field.one
+        # them as symbol length does.  Each lhs maps to its rhs terms as
+        # (interned word, coefficient) pairs.
         self._actions: dict[bytes, tuple] = {}
         for idx in sorted(
             range(len(rules)), key=lambda i: (-len(self._encode(rules[i].lhs)), i)
         ):
-            rhs = tuple(
-                (self._encode(rword), None if coef == one else coef)
-                for rword, coef in rules[idx].rhs
-            )
             self._actions.setdefault(
-                self._encode(rules[idx].lhs), (rhs[0] if len(rhs) == 1 else None, rhs)
+                self._encode(rules[idx].lhs),
+                tuple((self._encode(rword), coef) for rword, coef in rules[idx].rhs),
             )
         self._redex = re.compile(
             b"|".join(map(re.escape, self._actions)) if rules else b"(?!)"
@@ -381,8 +376,8 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
         mono, (coef, hint) = pending.popitem()
         m = search(mono, hint)
         if m is not None:
-            single, rhs = actions[m.group()]
-            if single is not None:
+            rhs = actions[m.group()]
+            if len(rhs) == 1:
                 # Single-term rules keep a single monomial, so splice them in
                 # place; only branching rules need to fork.  start is where the
                 # search that found m began (re reads a negative start as 0).
@@ -394,31 +389,29 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
                 prev = None
                 while True:
                     pos, end = m.span()
-                    rword, rcoef = single
+                    rword, rcoef = rhs[0]
                     o = pos - start
-                    if o == last and o >= back and start >= 0 and single is prev:
+                    if o == last and o >= back and start >= 0 and rhs is prev:
                         n = _splice_run(buf, start, o, pos, end, rword, back)
                         steps += n
                         if steps > budget:
                             raise _exhausted(budget)
                         start += n * (o - back)
-                        if rcoef is not None:
-                            coef = mul(coef, field.pow(rcoef, n))
+                        coef = mul(coef, field.pow(rcoef, n))
                     else:
                         last = o
-                        prev = single
+                        prev = rhs
                         steps += 1
                         if steps > budget:
                             raise _exhausted(budget)
                         buf[pos:end] = rword
                         start = pos - back
-                        if rcoef is not None:
-                            coef = mul(coef, rcoef)
+                        coef = mul(coef, rcoef)
                     m = search(buf, start)
                     if m is None:
                         break
-                    single, rhs = actions[m.group()]
-                    if single is None:
+                    rhs = actions[m.group()]
+                    if len(rhs) != 1:
                         break
                 mono = bytes(buf)
         if m is None:
@@ -436,7 +429,7 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
         hint = pos - back
         for rword, rcoef in rhs:
             nw = pre + rword + post
-            c = coef if rcoef is None else mul(coef, rcoef)
+            c = mul(coef, rcoef)
             entry = pending.get(nw)
             if entry is None:
                 pending[nw] = [c, hint]

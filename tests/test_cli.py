@@ -421,19 +421,37 @@ def test_mistyped_payload_field_names_the_field(capsys, argv, field):
     assert field in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, flag, value, payload", [
-    ("factorize", "--h", 0, {"alphabet": Z2_ALPHABET, "word": ["y"]}),
-    ("bench", "--trials", 0, {"n": 10}),
-    ("bench", "--seed", -1, {"n": 10, "trials": 1}),
+@pytest.mark.parametrize("command, flag, value, payload, span", [
+    ("factorize", "--h", 0, {"alphabet": Z2_ALPHABET, "word": ["y"]}, ">= 1"),
+    ("bench", "--trials", 0, {"n": 10}, "in [1,1000]"),
+    ("bench", "--seed", -1, {"n": 10, "trials": 1}, ">= 0"),
 ], ids=["factorize-h", "bench-trials", "bench-seed"])
-def test_flag_and_field_give_the_same_range_error(capsys, command, flag, value, payload):
+def test_flag_and_field_give_the_same_range_error(capsys, command, flag, value, payload,
+                                                  span):
     name = flag[2:]
     by_flag = run(capsys, command, flag, str(value), "--json", json.dumps(payload))
     by_field = run(capsys, command, "--json", json.dumps({**payload, name: value}))
     assert by_flag == by_field
     code, out, err = by_flag
     assert code == EXIT_BAD_INPUT and out == ""
-    assert err.startswith(f'error: {command} "{name}" must be an integer >=')
+    assert err == f'error: {command} "{name}" must be an integer {span}, got {value}.\n'
+
+
+@pytest.mark.parametrize("argv", [
+    ("--trials", "100000001", "--json", '{"n": 10}'),
+    ("--json", '{"n": 10, "trials": 100000001}'),
+], ids=["flag", "field"])
+def test_bench_trials_capped_before_any_trial(argv):
+    # Every trial keeps its result, so an uncapped count would run for hours
+    # and grow without bound; the cap is checked before the first trial.
+    proc = subprocess.run(
+        [sys.executable, "-m", "shirshov.cli", "bench", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == ('error: bench "trials" must be an integer in [1,1000], '
+                           'got 100000001.\n')
 
 
 def test_given_flag_overrides_a_mistyped_field(capsys):

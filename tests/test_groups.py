@@ -15,7 +15,7 @@ def test_cyclic_basics():
     g = sh.build_group(sh.cyclic(3))
     assert g.order == 3
     assert g.mul(1, 2) == 0
-    assert g.id() == 0
+    assert g.mul(0, 1) == g.mul(1, 0) == 1
     assert [g.name_of(k) for k in range(3)] == ["0", "1", "2"]
 
 
@@ -23,7 +23,7 @@ def test_identity_is_index_zero_everywhere():
     for spec in (sh.cyclic(5), sh.dihedral(3), sh.symmetric(3),
                  sh.product(sh.cyclic(2), sh.cyclic(3))):
         g = sh.build_group(spec)
-        for a in g.elements():
+        for a in range(g.order):
             assert g.mul(0, a) == a
             assert g.mul(a, 0) == a
 
@@ -58,8 +58,8 @@ def test_symmetric_is_nonabelian():
     assert g.order == 6
     assert any(
         g.mul(a, b) != g.mul(b, a)
-        for a in g.elements()
-        for b in g.elements()
+        for a in range(g.order)
+        for b in range(g.order)
     )
 
 
@@ -82,7 +82,7 @@ def test_inverse_examples():
 def test_inverse_is_involution():
     for spec in (sh.cyclic(7), sh.dihedral(4), sh.symmetric(3)):
         g = sh.build_group(spec)
-        for a in g.elements():
+        for a in range(g.order):
             assert g.inverse(g.inverse(a)) == a
             assert g.mul(a, g.inverse(a)) == 0
             assert g.mul(g.inverse(a), a) == 0

@@ -11,7 +11,6 @@ from shirshov.intervals import (
     _VECTOR_RATIO,
     _optimal_core_reference,
     _optimal_core_vector,
-    _scan,
 )
 
 
@@ -37,7 +36,7 @@ def test_prefix_products_match_left_fold():
         group = sh.build_group(spec)
         for n in (0, 1, 63, 64, 65, 4100):
             elems = [rng.randrange(group.order) for _ in range(n)]
-            fold = list(itertools.accumulate(elems, group.mul, initial=group.id()))
+            fold = list(itertools.accumulate(elems, group.mul, initial=0))
             got = sh.prefix_products(sh.GradeSequence(group, elems))
             assert got.tolist() == fold
             arr = sh.prefix_products(sh.GradeSequence(group, np.array(elems, dtype=np.int64)))
@@ -63,10 +62,10 @@ def test_scan_matches_scalar_fold():
         low = m - 8 if m == 4096 else 0
         for n in lengths:
             elems = [rng.randrange(low, m) for _ in range(n)]
-            fold = list(itertools.accumulate(elems, group.mul, initial=group.id()))
+            fold = list(itertools.accumulate(elems, group.mul, initial=0))
             for given in (tuple(elems), np.array(elems, dtype=np.int64),
                           np.array(elems, dtype=np.int32)):
-                got = _scan(group.cayley, given)
+                got = sh.prefix_products(sh.GradeSequence(group, given))
                 assert got.dtype == group.cayley.dtype
                 assert got.tolist() == fold, (m, n, type(given))
 
@@ -186,6 +185,36 @@ def test_verify_flags_out_of_range_and_miscount():
     dec = sh.Decomposition(intervals=(sh.Interval(1, 2),), uncovered=(), coverage=1)
     rep = sh.verify_decomposition(seq, dec)
     assert any("coverage miscount" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("intervals, uncovered, coverage", [
+    ((sh.Interval(True, 2),), (3,), 2),
+    ((sh.Interval(1.0, 2),), (3,), 2),
+    ((sh.Interval(1, np.int64(2)),), (3,), 2),
+    ((sh.Interval(1, 2),), (3,), 2.0),
+    ((sh.Interval(1, 2),), (3,), np.int64(2)),
+    ((sh.Interval(1, 2),), (3.0,), 2),
+    ((sh.Interval(1, 2),), (np.int64(3),), 2),
+], ids=["bool-start", "float-start", "numpy-end", "float-coverage", "numpy-coverage",
+        "float-uncovered", "numpy-uncovered"])
+def test_verify_flags_non_int_values(intervals, uncovered, coverage):
+    # Each value equals the right int, but decomposition_from_json would
+    # reject its type, and so does the check.
+    seq = _seq(sh.cyclic(2), [1, 1, 0])
+    rep = sh.verify_decomposition(seq, sh.Decomposition(intervals, uncovered, coverage))
+    assert not rep.ok
+    good = sh.Decomposition((sh.Interval(1, 2),), (3,), 2)
+    assert sh.verify_decomposition(seq, good).violations == ()
+
+
+def test_decompose_returns_plain_ints():
+    # Both cores: below and at the vector threshold.
+    group = sh.build_group(sh.symmetric(3))
+    rng = np.random.default_rng(5)
+    for n in (_VECTOR_RATIO * group.order - 1, _VECTOR_RATIO * group.order):
+        dec = sh.decompose_optimal(sh.GradeSequence(group, rng.integers(0, 6, size=n)))
+        values = [dec.coverage, *dec.uncovered, *(p for iv in dec.intervals for p in iv)]
+        assert dec.intervals and all(type(v) is int for v in values)
 
 
 def test_verify_flags_wrong_complement():
