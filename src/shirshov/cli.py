@@ -161,7 +161,7 @@ def _cmd_verify_base(args: argparse.Namespace) -> int:
     d = _wire.integer(payload["d"], 'verify-base "d"')
     # None: the cap is 2*d.
     D = None if payload["D"] is None else _wire.integer(payload["D"], 'verify-base "D"')
-    graded = _wire.boolean(payload.get("graded", False), 'verify-base "graded"') or args.graded
+    graded = args.graded or _wire.boolean(payload.get("graded", False), 'verify-base "graded"')
     spec = algebra_from_json(payload["algebra"])
     base = [word_from_json(w) for w in _wire.array(payload["base"], '"base"')]
     check = check_graded_theorem if graded else is_shirshov_base

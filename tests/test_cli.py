@@ -461,6 +461,14 @@ def test_given_flag_overrides_a_mistyped_field(capsys):
     assert doc["height"] == 2 and doc["verdict"] == "witnessed-spanning"
 
 
+def test_graded_flag_overrides_a_mistyped_field(capsys):
+    payload = json.dumps({"algebra": FIXTURE_ALGEBRA, "base": [["y"], ["x", "x"]],
+                          "h": 2, "d": 4, "graded": "no"})
+    code, doc, err = run_json(capsys, "verify-base", "--graded", "--json", payload)
+    assert (code, err) == (EXIT_OK, "")
+    assert doc["height"] == 5 and doc["neutral"]["verdict"] == "witnessed-spanning"
+
+
 # ----------------------------------------------------------------- plumbing
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import shirshov as sh
 from shirshov.intervals import (
+    ORACLE_LIMIT,
     _VECTOR_RATIO,
     _optimal_core_reference,
     _optimal_core_vector,
@@ -123,18 +124,20 @@ def test_oracle_equivalence_small_exhaustive():
     for n in range(7):
         for elems in itertools.product(range(2), repeat=n):
             seq = sh.GradeSequence(group, list(elems))
-            assert sh.decompose_optimal(seq).coverage == \
-                sh.decompose_bruteforce(seq).coverage
+            coverage = sh.decompose_bruteforce(seq).coverage
+            assert sh.decompose_optimal(seq).coverage == coverage
+            assert _optimal_core_vector(sh.prefix_products(seq), 2)[1] == coverage
 
 
 def test_oracle_equivalence_random_nonabelian():
     group = sh.build_group(sh.symmetric(3))
     rng = random.Random(31)
     for _ in range(100):
-        n = rng.randrange(0, 10)
+        n = rng.randrange(0, ORACLE_LIMIT + 1)
         seq = sh.GradeSequence(group, [rng.randrange(6) for _ in range(n)])
-        assert sh.decompose_optimal(seq).coverage == \
-            sh.decompose_bruteforce(seq).coverage
+        coverage = sh.decompose_bruteforce(seq).coverage
+        assert sh.decompose_optimal(seq).coverage == coverage
+        assert _optimal_core_vector(sh.prefix_products(seq), 6)[1] == coverage
 
 
 def test_optimal_output_always_verifies():
@@ -205,6 +208,18 @@ def test_verify_flags_non_int_values(intervals, uncovered, coverage):
     assert not rep.ok
     good = sh.Decomposition((sh.Interval(1, 2),), (3,), 2)
     assert sh.verify_decomposition(seq, good).violations == ()
+
+
+@pytest.mark.parametrize("interval, message", [
+    (sh.Interval(True, 2), "interval [True,2] out of range for n=3."),
+    (sh.Interval(1, 5), "interval [1,5] out of range for n=3."),
+])
+def test_verify_reports_a_rejected_interval_once(interval, message):
+    # The coverage and complement checks would only echo the same fault.
+    seq = _seq(sh.cyclic(2), [1, 1, 0])
+    rep = sh.verify_decomposition(seq, sh.Decomposition((interval,), (3,), 2))
+    assert rep.violations == (message,)
+    assert rep.bound_ok
 
 
 def test_decompose_returns_plain_ints():
@@ -287,11 +302,38 @@ def test_vectorized_core_restarts_match_reference():
     rng = random.Random(17)
     for spec in (sh.symmetric(5), sh.symmetric(6)):
         group = sh.build_group(spec)
-        for n in (1, 64, 65, 4097, 20_000, rng.randrange(600, 20_000)):
+        for n in (1, 64, 65, 255, 256, 257, 4097, 20_000, 200_000,
+                  rng.randrange(600, 20_000)):
             for kind, elems in _structured_sequences(group, rng, n).items():
                 seq = sh.GradeSequence(group, elems)
                 assert _optimal_core_vector(sh.prefix_products(seq), group.order) == \
                     _optimal_core_reference(group.cayley, elems), (group.order, n, kind)
+
+
+def test_vectorized_core_matches_reference_as_events_thin_out():
+    # Over S6 and C4096 a random sequence raises best[] entries densely at
+    # first, in bursts the scalar chunks settle, and sparsely later, where
+    # long vector scans run.
+    rng = np.random.default_rng(23)
+    for spec in (sh.symmetric(6), sh.cyclic(4096)):
+        group = sh.build_group(spec)
+        for n in (3000, 50_000, 200_000):
+            seq = sh.GradeSequence(group, rng.integers(0, group.order, size=n))
+            assert _optimal_core_vector(sh.prefix_products(seq), group.order) == \
+                _optimal_core_reference(group.cayley, seq.elems), (group.order, n)
+
+
+def test_cores_agree_on_both_sides_of_the_threshold():
+    rng = np.random.default_rng(19)
+    for spec in (sh.symmetric(3), sh.cyclic(17), sh.symmetric(5), sh.symmetric(6)):
+        group = sh.build_group(spec)
+        threshold = _VECTOR_RATIO * group.order
+        for n in (threshold - 1, threshold):
+            seq = sh.GradeSequence(group, rng.integers(0, group.order, size=n))
+            ivs, cov = _optimal_core_reference(group.cayley, seq.elems)
+            assert _optimal_core_vector(sh.prefix_products(seq), group.order) == (ivs, cov)
+            dec = sh.decompose_optimal(seq)
+            assert (list(dec.intervals), dec.coverage) == (ivs, cov), (group.order, n)
 
 
 def test_vectorized_path_used_above_threshold():
