@@ -14,6 +14,7 @@ positions stay uncovered.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -144,8 +145,8 @@ def decompose_optimal(seq: GradeSequence) -> Decomposition:
     Runs in time linear in the sequence length and is deterministic: when
     skipping position i and closing an interval at i tie, the interval wins,
     and among equally good interval starts the earliest (longest interval)
-    wins.  Sequences of at least _VECTOR_RATIO * |G| elements take a
-    vectorized path over prefix_products with identical output.
+    wins.  Below _VECTOR_RATIO * |G| elements one scalar pass settles all
+    of f; longer ones settle it in chunks, short chunks by that same pass.
 
     No two returned intervals are adjacent: [j+1, i] starts after the first
     prefix j with (f(j), phi(j)) = (f(i), phi(i)), phi(j) being the best
@@ -155,7 +156,7 @@ def decompose_optimal(seq: GradeSequence) -> Decomposition:
     if n >= _VECTOR_RATIO * m:
         intervals, coverage = _optimal_core_vector(prefix_products(seq), m)
     else:
-        intervals, coverage = _optimal_core_reference(seq.group.cayley, seq.elems)
+        intervals, coverage = _optimal_core_scalar(seq.group.cayley, seq.elems)
     return Decomposition(
         intervals=tuple(intervals),
         uncovered=tuple(_complement(intervals, n)),
@@ -163,72 +164,75 @@ def decompose_optimal(seq: GradeSequence) -> Decomposition:
     )
 
 
-def _optimal_core_reference(
-    cayley: np.ndarray, elems: Sequence[int] | np.ndarray
-) -> tuple[list[Interval], int]:
-    # phi(i) = (best coverage of the first i positions) - i, a value in
-    # [-(|G|-1), 0]; best_val[v] = max phi(j) over prefixes j with f(j) = v,
-    # best_j[v] the earliest j attaining it.
-    # A flat view of the table, indexed a*m + b, is zero-copy and cheaper to
-    # index than the 2-D view.
-    m = len(cayley)
-    flat = memoryview(cayley.ravel())
-    neg = -(1 << 60)
-    best_val = [neg] * m
-    best_j = [0] * m
-    best_val[0] = 0
-    elems = elems.tolist() if isinstance(elems, np.ndarray) else list(elems)
-    n = len(elems)
-    choice = [0] * (n + 1)  # 0 = position skipped, else j + 1
-    f = 0
-    prev_phi = 0
-    for i in range(1, n + 1):
-        f = flat[f * m + elems[i - 1]]
-        cand = best_val[f]
-        skip = prev_phi - 1
-        if cand >= skip:
-            cur = cand
-            choice[i] = best_j[f] + 1
+def _settle(values: list[int], start: int, phi: int, best: list[int],
+            first: dict[int, int]) -> int:
+    # phi(i) = max(best[f(i)], phi(i-1) - 1) over values = f(start), ...,
+    # from phi = phi(start - 1); best[v] is the largest phi(j) with f(j) = v.
+    # At an event, a position whose phi raises its own best[] entry, first
+    # records it as the first prefix with (f, phi) = (v, phi), under the key
+    # v - phi*|G|, one per pair since phi <= 0.
+    m = len(best)
+    for i, v in enumerate(values, start):
+        b = best[v]
+        if b < phi - 1:
+            phi -= 1
+            best[v] = phi
+            first[v - phi * m] = i
         else:
-            cur = skip
-        if cur > best_val[f]:
-            best_val[f] = cur
-            best_j[f] = i
-        prev_phi = cur
+            phi = b
+    return phi
+
+
+def _traceback(f: Sequence[int] | np.ndarray, m: int, phi: int,
+               first: dict[int, int]) -> list[Interval]:
+    # Walk back from n with phi = phi(n).  Prefix i ends the interval
+    # [j+1, i] when first's j for (f(i), phi) is below i, and the walk jumps
+    # to j; otherwise i is skipped and phi(i-1) = phi(i) + 1.
     intervals: list[Interval] = []
-    i = n
+    i = len(f) - 1
     while i > 0:
-        c = choice[i]
-        if c:
-            j = c - 1
+        j = first[int(f[i]) - phi * m]
+        if j < i:
             intervals.append(Interval(j + 1, i))
             i = j
         else:
             i -= 1
+            phi += 1
     intervals.reverse()
-    return intervals, prev_phi + n
+    return intervals
+
+
+def _optimal_core_scalar(
+    cayley: np.ndarray, elems: Sequence[int] | np.ndarray
+) -> tuple[list[Interval], int]:
+    # A flat view of the table, indexed a*m + b, is zero-copy and cheaper to
+    # index than the 2-D view.
+    m = len(cayley)
+    flat = memoryview(cayley.ravel())
+    elems = elems.tolist() if isinstance(elems, np.ndarray) else elems
+    acc = 0
+    f = [acc, *[acc := flat[acc * m + g] for g in elems]]
+    best = [-(1 << 30)] * m
+    best[0] = 0
+    first = {0: 0}
+    # Prefix 0 is settled already, so reading it again changes nothing.
+    phi = _settle(f, 0, 0, best, first)
+    return _traceback(f, m, phi, first), phi + len(elems)
 
 
 def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
-    # Same recurrence as the reference over the prefix products f, evaluated
-    # in chunks.  An event is a position whose phi raises its own best[]
-    # entry; best[] entries only ever increase within [-(m-1), 0], so there
-    # are at most m*(m+1) events in total, but they come in bursts.  A chunk
-    # of at most 256 positions runs the scalar recurrence and settles every
-    # event in it.  A longer chunk is one vectorized scan: with best[] frozen,
-    # phi(i) + i = max_t<=i (best[f(t)] + t) is a running maximum, valid up to
-    # the first event, where the update is applied and the next chunk starts.
-    # best[] is kept as a list for the scalar pass and as an array for the
-    # gather; every event writes both.
-    # The traceback needs only first[(v, phi)], the first prefix with that
-    # pair, which is an event: prefix i ends the interval [j+1, i] when
-    # j = first[(f(i), phi(i))] < i, else i is skipped and phi(i-1) = phi(i)+1.
+    # _settle over the prefix products f in chunks.  best[] entries only
+    # increase within [-(m-1), 0], so there are at most m*(m+1) events, but in
+    # bursts.  A chunk of at most 256 positions goes to _settle; a longer one
+    # is one vectorized scan: with best[] frozen, phi(i) + i =
+    # max_t<=i (best[f(t)] + t) is a running maximum, valid up to the first
+    # event, which starts the next chunk.  best[] is also kept as an array
+    # for the gather, and every event writes both.
     n = len(f) - 1
-    neg = -(1 << 30)
-    best = [neg] * m
+    best = [-(1 << 30)] * m
     best[0] = 0
     best_arr = np.array(best, dtype=np.int32)
-    first = {(0, 0): 0}
+    first = {0: 0}
     offsets = np.arange(min(n, 1 << 22), dtype=np.int32)
 
     phi = 0  # phi(start - 1)
@@ -238,18 +242,14 @@ def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
         end = min(n, start + chunk - 1)
         if end - start < 256:
             seen = len(first)
-            for i, v in enumerate(f[start : end + 1].tolist(), start):
-                b = best[v]
-                if b < phi - 1:
-                    phi -= 1
-                    best[v] = best_arr[v] = phi
-                    first[(v, phi)] = i
-                else:
-                    phi = b
+            phi = _settle(f[start : end + 1].tolist(), start, phi, best, first)
             start = end + 1
             # A burst keeps the chunk short; a quiet chunk doubles it.
             if len(first) == seen:
                 chunk <<= 1
+            # The chunk's events are the keys it added last to first.
+            for key in itertools.islice(reversed(first), len(first) - seen):
+                best_arr[key % m] = best[key % m]
             continue
         # b + k for chunk offset k, so that phi(start + k) = scan[k] - k and
         # an event is scan[k] > b[k] + k.
@@ -263,7 +263,7 @@ def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
             v = int(f[start + k])
             phi = int(scan[k]) - k
             best[v] = best_arr[v] = phi
-            first[(v, phi)] = start + k
+            first[v - phi * m] = start + k
             start += k + 1
             # Restart at about twice the gap just scanned, so a burst costs
             # chunks of its own size.
@@ -273,19 +273,7 @@ def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
             start = end + 1
             chunk = min(chunk << 1, 1 << 22)
 
-    coverage = phi + n
-    intervals: list[Interval] = []
-    i = n
-    while i > 0:
-        j = first[(int(f[i]), phi)]
-        if j < i:
-            intervals.append(Interval(j + 1, i))
-            i = j
-        else:
-            i -= 1
-            phi += 1
-    intervals.reverse()
-    return intervals, coverage
+    return _traceback(f, m, phi, first), phi + n
 
 
 def _complement(intervals: Sequence[Interval], n: int) -> list[int]:

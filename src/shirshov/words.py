@@ -184,11 +184,18 @@ def verify_factorization(
     group = alphabet.group
     m = group.order
     f = prefix_products(_grade_sequence(alphabet, word))
-    violations: list[str] = []
+    # Plain int endpoints only, as factorization_from_json reads them: any
+    # other segment is one violation, ends the partition walk, and is dropped.
+    plain = [type(s.start) is int and type(s.end) is int for s in fact.segments]
+    violations = [f"segment [{s.start!r},{s.end!r}] has an endpoint that is not an int."
+                  for s, ok in zip(fact.segments, plain) if not ok]
+    kept = Factorization(tuple(s for s, ok in zip(fact.segments, plain) if ok))
 
     nxt = 1
-    shaped = True
-    for seg in fact.segments:
+    shaped = all(plain)
+    for seg, ok in zip(fact.segments, plain):
+        if not ok:
+            break
         if seg.tag not in ("A", "Y"):
             violations.append(f"segment tag {seg.tag!r} is not \"A\" or \"Y\".")
             shaped = False
@@ -210,7 +217,7 @@ def verify_factorization(
             )
 
     # [a, b] has identity grade iff f(a-1) = f(b); its grade is f(a-1)^-1 f(b).
-    spans = [(s.start, s.end) for s in fact.segments
+    spans = [(s.start, s.end) for s in kept.segments
              if s.tag == "A" and 1 <= s.start <= s.end <= n]
     ends = np.array(spans, dtype=np.int64).reshape(-1, 2)
     for i in np.flatnonzero(f[ends[:, 0] - 1] != f[ends[:, 1]]):
@@ -220,13 +227,13 @@ def verify_factorization(
             f"A-segment [{a},{b}] has grade {group.name_of(g)}, not the identity."
         )
 
-    y_count = sum(1 for s in fact.segments if s.tag == "Y")
-    if fact.y_total > m - 1:
-        violations.append(f"Y-segments hold {fact.y_total} letters, more than |G|-1={m - 1}.")
+    y_count = sum(1 for s in kept.segments if s.tag == "Y")
+    if kept.y_total > m - 1:
+        violations.append(f"Y-segments hold {kept.y_total} letters, more than |G|-1={m - 1}.")
     if y_count > m - 1:
         violations.append(f"{y_count} Y-segments, more than |G|-1={m - 1}.")
-    if fact.k > m:
-        violations.append(f"{fact.k} A-segments, more than |G|={m}.")
+    if kept.k > m:
+        violations.append(f"{kept.k} A-segments, more than |G|={m}.")
 
     return FactorizationReport(violations=tuple(violations))
 

@@ -2,21 +2,66 @@
 
 import itertools
 import random
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 import shirshov as sh
-from shirshov.intervals import (
-    ORACLE_LIMIT,
-    _VECTOR_RATIO,
-    _optimal_core_reference,
-    _optimal_core_vector,
-)
+from shirshov.intervals import ORACLE_LIMIT, _VECTOR_RATIO, Interval, _optimal_core_vector
 
 
 def _seq(spec, elems):
     return sh.GradeSequence(sh.build_group(spec), elems)
+
+
+# An independent oracle for decompose_optimal's cores: the same phi
+# recurrence with its own traceback, through choice[i], the interval start
+# chosen at each position, instead of the first prefix of each (f, phi).
+def _optimal_core_reference(
+    cayley: np.ndarray, elems: Sequence[int] | np.ndarray
+) -> tuple[list[Interval], int]:
+    # phi(i) = (best coverage of the first i positions) - i, a value in
+    # [-(|G|-1), 0]; best_val[v] = max phi(j) over prefixes j with f(j) = v,
+    # best_j[v] the earliest j attaining it.
+    # A flat view of the table, indexed a*m + b, is zero-copy and cheaper to
+    # index than the 2-D view.
+    m = len(cayley)
+    flat = memoryview(cayley.ravel())
+    neg = -(1 << 60)
+    best_val = [neg] * m
+    best_j = [0] * m
+    best_val[0] = 0
+    elems = elems.tolist() if isinstance(elems, np.ndarray) else list(elems)
+    n = len(elems)
+    choice = [0] * (n + 1)  # 0 = position skipped, else j + 1
+    f = 0
+    prev_phi = 0
+    for i in range(1, n + 1):
+        f = flat[f * m + elems[i - 1]]
+        cand = best_val[f]
+        skip = prev_phi - 1
+        if cand >= skip:
+            cur = cand
+            choice[i] = best_j[f] + 1
+        else:
+            cur = skip
+        if cur > best_val[f]:
+            best_val[f] = cur
+            best_j[f] = i
+        prev_phi = cur
+    intervals: list[Interval] = []
+    i = n
+    while i > 0:
+        c = choice[i]
+        if c:
+            j = c - 1
+            intervals.append(Interval(j + 1, i))
+            i = j
+        else:
+            i -= 1
+    intervals.reverse()
+    return intervals, prev_phi + n
 
 
 def test_prefix_products_examples():
@@ -264,6 +309,8 @@ def test_deterministic_tie_breaking():
 
 
 def test_vectorized_path_matches_reference_exactly():
+    # Every n here is below the vector threshold, so decompose_optimal runs
+    # the scalar path.
     rng = random.Random(5)
     specs = (
         sh.cyclic(17), sh.symmetric(3), sh.dihedral(4),
@@ -274,8 +321,10 @@ def test_vectorized_path_matches_reference_exactly():
         for _ in range(40):
             n = rng.randrange(0, 600)
             seq = sh.GradeSequence(group, [rng.randrange(group.order) for _ in range(n)])
-            assert _optimal_core_vector(sh.prefix_products(seq), group.order) == \
-                _optimal_core_reference(group.cayley, seq.elems)
+            expected = _optimal_core_reference(group.cayley, seq.elems)
+            assert _optimal_core_vector(sh.prefix_products(seq), group.order) == expected
+            dec = sh.decompose_optimal(seq)
+            assert (list(dec.intervals), dec.coverage) == expected
 
 
 def _structured_sequences(group, rng, n):
@@ -306,8 +355,13 @@ def test_vectorized_core_restarts_match_reference():
                   rng.randrange(600, 20_000)):
             for kind, elems in _structured_sequences(group, rng, n).items():
                 seq = sh.GradeSequence(group, elems)
+                expected = _optimal_core_reference(group.cayley, elems)
                 assert _optimal_core_vector(sh.prefix_products(seq), group.order) == \
-                    _optimal_core_reference(group.cayley, elems), (group.order, n, kind)
+                    expected, (group.order, n, kind)
+                if n < _VECTOR_RATIO * group.order:  # the scalar path
+                    dec = sh.decompose_optimal(seq)
+                    assert (list(dec.intervals), dec.coverage) == expected, \
+                        (group.order, n, kind)
 
 
 def test_vectorized_core_matches_reference_as_events_thin_out():
@@ -328,6 +382,8 @@ def test_cores_agree_on_both_sides_of_the_threshold():
     for spec in (sh.symmetric(3), sh.cyclic(17), sh.symmetric(5), sh.symmetric(6)):
         group = sh.build_group(spec)
         threshold = _VECTOR_RATIO * group.order
+        # decompose_optimal takes the scalar path at threshold - 1 and the
+        # chunked core at threshold.
         for n in (threshold - 1, threshold):
             seq = sh.GradeSequence(group, rng.integers(0, group.order, size=n))
             ivs, cov = _optimal_core_reference(group.cayley, seq.elems)

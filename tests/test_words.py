@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import shirshov as sh
@@ -197,6 +198,25 @@ def test_verify_adjacent_segment_messages():
         "adjacent A-segments [1,1] and [2,2] are not merged.",
         "adjacent Y-segments [3,3] and [4,4] are not merged.",
     ]
+
+
+@pytest.mark.parametrize("segments, bad", [
+    ((sh.Segment("A", True, 3),), "[True,3]"),
+    ((sh.Segment("A", 1.0, 3.0),), "[1.0,3.0]"),
+    ((sh.Segment("A", np.int64(1), 3),), f"[{np.int64(1)!r},3]"),
+    ((sh.Segment("A", "a", 3),), "['a',3]"),
+    ((sh.Segment("A", 1, None),), "[1,None]"),
+    ((sh.Segment("Y", 1, 1), sh.Segment("A", 2.0, 3)), "[2.0,3]"),
+], ids=["bool-start", "float-span", "numpy-start", "str-start", "none-end", "float-after-y"])
+def test_verify_reports_a_non_int_endpoint_once(segments, bad):
+    # factorization_from_json would reject each of these; the verifier
+    # reports the segment once and runs no other check on it.
+    alpha = _z2_alphabet()
+    word = ("x", "x", "y")
+    rep = sh.verify_factorization(alpha, word, sh.Factorization(segments))
+    assert rep.violations == (f"segment {bad} has an endpoint that is not an int.",)
+    good = sh.Factorization((sh.Segment("A", 1, 3),))
+    assert sh.verify_factorization(alpha, word, good).violations == ()
 
 
 def test_verify_flags_partition_gap():
