@@ -98,7 +98,7 @@ class PrimeField:
         self.one = 1 % p
 
     def is_zero(self, a: int) -> bool:
-        return a == 0
+        return a % self.p == 0
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -439,8 +439,6 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
                 del pending[nw]
             else:
                 entry[0] = acc
-                if hint < entry[1]:
-                    entry[1] = hint
     return out, steps
 
 

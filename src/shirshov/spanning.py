@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -231,11 +231,6 @@ class RowEchelon:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def copy(self) -> "RowEchelon":
-        dup = RowEchelon(self.field)
-        dup._pivots = dict(self._pivots)
-        return dup
-
     def _prepare(self, row: LinComb) -> dict:
         if self._modp:
             p = self.field.p
@@ -299,7 +294,7 @@ class RowEchelon:
         return True
 
 
-def _irreducible_words(spec: AlgebraSpec, d: int, grade: int | None = None) -> list[Word]:
+def _irreducible_words(spec: AlgebraSpec, d: int) -> list[Word]:
     # Every prefix of an irreducible word is irreducible, so grow words one
     # letter at a time and only test for a left-hand side ending at the new
     # last letter.
@@ -329,9 +324,7 @@ def _irreducible_words(spec: AlgebraSpec, d: int, grade: int | None = None) -> l
                 grown.append(nw)
         layer = grown
         out.extend(layer)
-    if grade is None:
-        return out
-    return [w for w in out if grade_of(spec.alphabet, w) == grade]
+    return out
 
 
 @dataclass(frozen=True)
@@ -373,29 +366,16 @@ def report_to_json(report: SpanReport) -> dict:
     return out
 
 
-def _check_base_words(spec: AlgebraSpec, S: Sequence[Sequence[str]]) -> list[Word]:
-    bases = []
-    for w in S:
-        w = tuple(w)
-        if not w:
-            raise ValueError("base words must be nonempty.")
-        for sym in w:
-            spec.alphabet.grade(sym)
-        bases.append(w)
-    return bases
-
-
 def _span_check(
     spec: AlgebraSpec,
     bases: Sequence[Word],
     h: int,
     d: int,
     D: int,
-    grade: int | None,
+    targets: Sequence[Word],
     step_budget: int | None,
 ) -> SpanReport:
     confluent = check_confluence(spec, step_budget).confluent
-    targets = _irreducible_words(spec, d, grade)
     # In reversed-word order each expansion shares the longest available
     # suffix with the one before, which the chain then reuses.  Ranks and
     # residual leading monomials do not depend on the order of insertion.
@@ -403,23 +383,27 @@ def _span_check(
         {p.expansion() for p in enumerate_products(bases, h, D)}, key=lambda w: w[::-1]
     )
 
-    base_ech = RowEchelon(spec.field)
+    echelon = RowEchelon(spec.field)
     chain = SuffixChain()
     for w in expansions:
         nf = normalize(spec, w, step_budget, chain)
         if nf:
-            base_ech.add(nf)
-    rank_products = base_ech.rank
+            echelon.add(nf)
+    rank_products = echelon.rank
 
-    joint = base_ech.copy()
+    # Reduce every target against the products first, then extend the same
+    # echelon by the ones left over to read the joint rank.
     missing: set[Word] = set()
+    outside: list[LinComb] = []
     for mono in targets:
         nf = normalize(spec, mono, step_budget)
-        residual = base_ech.reduce(nf)
+        residual = echelon.reduce(nf)
         if residual:
             missing.add(max(residual, key=_deglex))
-            joint.add(nf)
-    rank_joint = joint.rank
+            outside.append(nf)
+    for nf in outside:
+        echelon.add(nf)
+    rank_joint = echelon.rank
 
     verdict = WITNESSED if not missing else NOT_WITNESSED
     if (not missing) != (rank_joint == rank_products):
@@ -436,7 +420,9 @@ def _span_check(
     )
 
 
-def _check_args(h: int, d: int, D: int | None) -> int:
+def _check_args(
+    spec: AlgebraSpec, S: Sequence[Sequence[str]], h: int, d: int, D: int | None
+) -> tuple[list[Word], int]:
     if h < 1:
         raise ValueError(f"height must be >= 1, got {h}.")
     if d < 1:
@@ -445,7 +431,15 @@ def _check_args(h: int, d: int, D: int | None) -> int:
         D = 2 * d
     if D < d:
         raise ValueError(f"expansion cap D={D} must be >= degree cap d={d}.")
-    return D
+    bases = []
+    for w in S:
+        w = tuple(w)
+        if not w:
+            raise ValueError("base words must be nonempty.")
+        for sym in w:
+            spec.alphabet.grade(sym)
+        bases.append(w)
+    return bases, D
 
 
 def is_shirshov_base(
@@ -463,9 +457,8 @@ def is_shirshov_base(
     and expansion length <= D (default 2*d).  A not-witnessed verdict lists
     missing monomials but does not disprove spanning at a larger D.
     """
-    D = _check_args(h, d, D)
-    bases = _check_base_words(spec, S)
-    return _span_check(spec, bases, h, d, D, None, step_budget)
+    bases, D = _check_args(spec, S, h, d, D)
+    return _span_check(spec, bases, h, d, D, _irreducible_words(spec, d), step_budget)
 
 
 def check_graded_theorem(
@@ -485,8 +478,7 @@ def check_graded_theorem(
     witnessed-spanning only when both phases are.  Over the trivial group the
     two phases coincide and the check reduces to is_shirshov_base.
     """
-    D = _check_args(h, d, D)
-    bases = _check_base_words(spec, S_e)
+    bases, D = _check_args(spec, S_e, h, d, D)
     alphabet = spec.alphabet
     for w in bases:
         g = grade_of(alphabet, w)
@@ -495,15 +487,17 @@ def check_graded_theorem(
                 f"base word {' '.join(w)!r} has grade {alphabet.group.name_of(g)}, "
                 "not the identity."
             )
+    targets = _irreducible_words(spec, d)
     m = alphabet.group.order
     if m == 1:
-        return _span_check(spec, bases, h, d, D, None, step_budget)
+        return _span_check(spec, bases, h, d, D, targets, step_budget)
 
-    neutral = _span_check(spec, bases, h, d, D, 0, step_budget)
+    identity = [w for w in targets if grade_of(alphabet, w) == 0]
+    neutral = _span_check(spec, bases, h, d, D, identity, step_budget)
 
     # enumerate_products drops the generators already in S_e.
     full = bases + [(sym,) for sym in alphabet.symbols]
-    total = _span_check(spec, full, height_bound(h, m), d, D, None, step_budget)
+    total = _span_check(spec, full, height_bound(h, m), d, D, targets, step_budget)
 
     if VIOLATED in (neutral.verdict, total.verdict):
         verdict = VIOLATED
@@ -512,14 +506,4 @@ def check_graded_theorem(
     else:
         verdict = NOT_WITNESSED
     missing = tuple(sorted(set(neutral.missing) | set(total.missing), key=_deglex))
-    return SpanReport(
-        verdict=verdict,
-        degree_cap=d,
-        expansion_cap=D,
-        height=total.height,
-        rank_products=total.rank_products,
-        rank_joint=total.rank_joint,
-        missing=missing,
-        confluent=total.confluent,
-        neutral=neutral,
-    )
+    return replace(total, verdict=verdict, missing=missing, neutral=neutral)

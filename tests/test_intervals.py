@@ -225,6 +225,16 @@ def test_verify_flags_overlap():
     assert rep.violations == ("intervals [1,5] and [2,3] overlap.",)
 
 
+@pytest.mark.parametrize("intervals, n", [
+    ((sh.Interval(3, 4), sh.Interval(1, 2)), 4),
+    ((sh.Interval(1, 2), sh.Interval(5, 6), sh.Interval(3, 4)), 6),
+], ids=["reversed", "middle"])
+def test_verify_flags_unsorted_intervals(intervals, n):
+    seq = _seq(sh.cyclic(2), [1] * n)
+    rep = sh.verify_decomposition(seq, sh.Decomposition(intervals, (), n))
+    assert rep.violations == ("intervals not sorted by start.",)
+
+
 def test_verify_flags_out_of_range_and_miscount():
     seq = _seq(sh.cyclic(2), [0, 0])
     dec = sh.Decomposition(intervals=(sh.Interval(1, 5),), uncovered=(), coverage=3)

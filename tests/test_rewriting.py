@@ -124,11 +124,14 @@ def test_rule_rejects_empty_lhs():
 
 
 def test_algebra_rejects_zero_coefficient():
-    with pytest.raises(ValueError, match="zero coefficient"):
-        sh.AlgebraSpec(
-            alphabet=_z2_alphabet(),
-            rules=[sh.RewriteRule(lhs=("x", "y"), rhs=((("y", "x"), 0),))],
-        )
+    for alphabet, rule, field in [
+        (_z2_alphabet(), sh.RewriteRule(lhs=("x", "y"), rhs=((("y", "x"), 0),)), None),
+        # 7 is zero in F_7, though not as an int.
+        (_trivial_alphabet("x", "y", "z"),
+         sh.RewriteRule(lhs=("x",), rhs=((("y",), 7), (("z",), 1))), sh.PrimeField(7)),
+    ]:
+        with pytest.raises(ValueError, match="zero coefficient"):
+            sh.AlgebraSpec(alphabet=alphabet, rules=[rule], field=field)
 
 
 def test_algebra_rejects_duplicate_rhs_monomial():
@@ -239,10 +242,7 @@ def test_normalize_distributes_and_merges():
 
 
 def test_normalize_cancellation_drops_zero_terms():
-    # a a -> b + c and a a ->' nothing reachable; instead force cancellation
-    # via coefficients: a a -> b - b is forbidden (duplicate), so cancel
-    # across branches: rule1 on "s": s -> a a - b b ... simplest honest case:
-    # normalize(("a","a")) with rhs b + (-1) c, then c -> b makes b - b = 0.
+    # b - c with c -> b cancels to zero in the result map.
     Q = sh.RationalField()
     alpha = _trivial_alphabet("a", "b", "c")
     alg = sh.AlgebraSpec(
@@ -410,6 +410,27 @@ def _equal_length_algebra():
     )
 
 
+def _meeting_forks_algebra(z_rhs):
+    # x -> y + z forks, and z forks again into a y that meets the pending y.
+    Q = sh.RationalField()
+    return sh.AlgebraSpec(
+        alphabet=_trivial_alphabet("x", "y", "z", "t"),
+        rules=[
+            sh.RewriteRule(lhs=("x",), rhs=((("y",), Q.one), (("z",), Q.one))),
+            sh.RewriteRule(lhs=("z",), rhs=tuple((w, Fraction(c)) for w, c in z_rhs)),
+        ],
+        field=Q,
+    )
+
+
+def _cancelling_forks_algebra():
+    return _meeting_forks_algebra(((("y",), -1), (("t",), 2)))  # nf(x) = 2t
+
+
+def _merging_forks_algebra():
+    return _meeting_forks_algebra(((("y",), 2), (("t",), 1)))  # nf(x) = 3y + t
+
+
 def _pingpong_algebra():
     return sh.AlgebraSpec(
         alphabet=_trivial_alphabet("x", "y"),
@@ -458,6 +479,8 @@ def _random_words(rng, letters, count, longest):
     pytest.param(_longest_algebra, "abc", 10, 10**6, id="longest"),
     pytest.param(_equal_length_algebra, "abc", 10, 10**6, id="equal"),
     pytest.param(_pingpong_algebra, "xy", 6, 50, id="pingpong"),
+    pytest.param(_cancelling_forks_algebra, "xyzt", 6, 10**6, id="forks-cancel"),
+    pytest.param(_merging_forks_algebra, "xyzt", 6, 10**6, id="forks-merge"),
     pytest.param(_wide_algebra, _WIDE + ["s3", "s300", "s2099"], 8, 10**6, id="wide"),
 ])
 def test_engine_matches_naive_rewriter(make, letters, longest, budget):
@@ -546,6 +569,17 @@ def test_memo_closed_form_charges_fold_steps_on_both_paths():
             with pytest.raises(sh.StepBudgetExceeded):
                 sh.normalize(alg, word, steps - 1, memo)
             assert sh.normalize(alg, word, steps, memo) == expect
+
+
+def test_warm_chain_charges_a_cached_word_against_a_smaller_budget():
+    # The chain holds the whole word with its fold steps, so a second call
+    # under a smaller budget fails before folding any letter.
+    alg = _fixture_algebra()
+    word = ("x", "x", "y", "y")
+    chain = sh.SuffixChain()
+    assert sh.normalize(alg, word, 10**6, chain) == {("y",) * 8 + ("x", "x"): 1}
+    with pytest.raises(sh.StepBudgetExceeded):
+        sh.normalize(alg, word, 5, chain)
 
 
 def test_memo_ignored_on_uncertified_presentation():

@@ -5,6 +5,7 @@ import gc
 import pickle
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -279,6 +280,45 @@ def test_row_echelon_agrees_across_fields():
         ef.add({k: F.mul(F.parse(str(v.numerator)), F.inv(F.parse(str(v.denominator))))
                 for k, v in r.items()})
     assert eq.rank == ef.rank == 2
+
+
+def _fraction_rank(rows, columns):
+    """Rank by plain Gauss-Jordan elimination over Fraction."""
+    matrix = [[Fraction(row.get(c, 0)) for c in columns] for row in rows]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        lead = matrix[rank][col]
+        matrix[rank] = [v / lead for v in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [v - factor * p for v, p in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
+def test_row_echelon_over_q_matches_fraction_elimination():
+    # Rows of 2-4 rational terms, some of them all zero, some with negative
+    # leading coefficients, and enough of them to fall into each other's span.
+    Q = sh.RationalField()
+    rng = random.Random(11)
+    words = [("a",), ("b",), ("c",), ("a", "b"), ("b", "a"), ("a", "a")]
+    for _ in range(80):
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            rows.append({w: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                         for w in rng.sample(words, rng.randint(2, 4))})
+        ech = sh.RowEchelon(Q)
+        grew = [ech.add(r) for r in rows]
+        assert ech.rank == sum(grew) == _fraction_rank(rows, words)
+        assert all(ech.reduce(r) == {} for r in rows)
+        probe = {w: Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for w in words[:3]}
+        inside = _fraction_rank(rows + [probe], words) == ech.rank
+        assert (ech.reduce(probe) == {}) == inside
 
 
 def test_row_echelon_over_fp_takes_unreduced_rows():

@@ -186,6 +186,20 @@ def test_verify_flags_unmerged_a_segments():
     assert any("not merged" in v for v in rep.violations)
 
 
+@pytest.mark.parametrize("segments, violations", [
+    ((sh.Segment("B", 1, 2),), ('segment tag \'B\' is not "A" or "Y".',)),
+    ((sh.Segment("Y", 1, 1), sh.Segment("A", 3, 3)),
+     ("segment [3,3] breaks the partition of [1,3].",)),
+    ((sh.Segment("A", 1, 1), sh.Segment("A", 2, 2), sh.Segment("A", 3, 3)),
+     ("adjacent A-segments [1,1] and [2,2] are not merged.",
+      "adjacent A-segments [2,2] and [3,3] are not merged.",
+      "3 A-segments, more than |G|=2.")),
+], ids=["bad-tag", "gap", "too-many-a"])
+def test_verify_factorization_violations(segments, violations):
+    rep = sh.verify_factorization(_z2_alphabet(), ("y", "y", "y"), sh.Factorization(segments))
+    assert rep.violations == violations
+
+
 def test_verify_adjacent_segment_messages():
     alpha = _z2_alphabet()
     word = ("y", "y", "x", "y")
