@@ -237,7 +237,8 @@ def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
 
     phi = 0  # phi(start - 1)
     start = 1
-    chunk = 1 << 12
+    # f(1) = g_1 is an event unless g_1 = e, so the first chunk is settled.
+    chunk = 256
     while start <= n:
         end = min(n, start + chunk - 1)
         if end - start < 256:

@@ -74,8 +74,8 @@ class PoweredProduct:
         for base, exp in self.factors:
             if not base:
                 raise ValueError("powered-product bases must be nonempty words.")
-            if exp < 1:
-                raise ValueError(f"exponent must be >= 1, got {exp}.")
+            if type(exp) is not int or exp < 1:
+                raise ValueError(f"exponent must be an integer >= 1, got {exp!r}.")
         for (a, _), (b, _) in zip(self.factors, self.factors[1:]):
             if a == b:
                 raise ValueError(
@@ -212,6 +212,35 @@ def _count_products(lengths: Sequence[int], h: int, D: int) -> int:
         if letters > LETTER_CAP:
             raise too_large(f"{LETTER_CAP} letters in the powered products")
     return total
+
+
+def _primitive_bases(bases: Sequence[Word]) -> list[Word]:
+    """The distinct bases, less every proper power of another base.
+
+    With r^j and r^i both bases and j | i, a factor (r^i)^e is the factor
+    (r^j)^(e*i/j), merged with a neighbouring power of r^j if there is one:
+    the same expansion, no longer, and with no more factors.  So dropping
+    r^i leaves the set of expansions the same at every height and expansion
+    cap.  Bases are grouped by primitive root r, and each exponent i is
+    tested against its divisors only.
+    """
+    code: dict[str, str] = {}
+    powers: dict[Word, set[int]] = {}
+    rooted = []
+    for w in dict.fromkeys(bases):
+        s = "".join(code.setdefault(sym, chr(len(code))) for sym in w)
+        # The shortest rotation of w onto itself has length p | len(w), and
+        # w is (w[:p])^(len(w) / p) with w[:p] primitive.
+        p = (s + s).find(s, 1)
+        rooted.append((w, w[:p], len(w) // p))
+        powers.setdefault(w[:p], set()).add(len(w) // p)
+
+    def proper_power(root: Word, i: int) -> bool:
+        exps = powers[root]
+        return any(i % j == 0 and ((j < i and j in exps) or (j > 1 and i // j in exps))
+                   for j in range(1, math.isqrt(i) + 1))
+
+    return [w for w, root, i in rooted if not proper_power(root, i)]
 
 
 class RowEchelon:
@@ -376,11 +405,14 @@ def _span_check(
     step_budget: int | None,
 ) -> SpanReport:
     confluent = check_confluence(spec, step_budget).confluent
+    # A proper power of another base adds no expansion, so only the
+    # primitive bases are enumerated, and the caps count their products.
     # In reversed-word order each expansion shares the longest available
     # suffix with the one before, which the chain then reuses.  Ranks and
     # residual leading monomials do not depend on the order of insertion.
     expansions = sorted(
-        {p.expansion() for p in enumerate_products(bases, h, D)}, key=lambda w: w[::-1]
+        {p.expansion() for p in enumerate_products(_primitive_bases(bases), h, D)},
+        key=lambda w: w[::-1],
     )
 
     echelon = RowEchelon(spec.field)
@@ -495,7 +527,7 @@ def check_graded_theorem(
     identity = [w for w in targets if grade_of(alphabet, w) == 0]
     neutral = _span_check(spec, bases, h, d, D, identity, step_budget)
 
-    # enumerate_products drops the generators already in S_e.
+    # _primitive_bases drops the generators already in S_e and their powers.
     full = bases + [(sym,) for sym in alphabet.symbols]
     total = _span_check(spec, full, height_bound(h, m), d, D, targets, step_budget)
 

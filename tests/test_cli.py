@@ -606,6 +606,21 @@ def test_letter_blowup_exits_two_under_memory_limit(payload, message):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_base_caps_count_the_primitive_bases(capsys):
+    # x^2 .. x^6 are powers of x and add no product, so the letter cap that
+    # all six bases would exceed is not reached.
+    algebra = {
+        "alphabet": {"group": {"cyclic": 1}, "generators": [{"sym": "x", "grade": 0}]},
+        "rules": [],
+    }
+    payload = json.dumps({"algebra": algebra, "base": [["x"] * k for k in range(1, 7)],
+                          "h": 6, "d": 20, "D": 60})
+    code, doc, err = run_json(capsys, "verify-base", "--json", payload)
+    assert (code, err) == (EXIT_OK, "")
+    assert doc["verdict"] == "witnessed-spanning"
+    assert (doc["rank_products"], doc["rank_joint"]) == (60, 60)
+
+
 def test_largest_group_decomposes_under_memory_limit():
     # An 800 MB address-space limit, as under `ulimit -v 800000`: a group of
     # order MAX_ORDER holds one int32 table, which the scalar path reads in

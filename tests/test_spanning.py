@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import pickle
 import random
 import weakref
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import shirshov as sh
-from shirshov.spanning import _count_products
+from shirshov.spanning import _count_products, _primitive_bases
 
 
 def _z2_alphabet():
@@ -41,6 +42,10 @@ def test_powered_product_validation():
         sh.PoweredProduct((((), 1),))
     with pytest.raises(ValueError, match="exponent"):
         sh.PoweredProduct(((("x",), 0),))
+    with pytest.raises(ValueError, match="exponent"):
+        sh.PoweredProduct(((("x",), 1.5),))
+    with pytest.raises(ValueError, match="exponent"):
+        sh.PoweredProduct(((("x",), True),))
     with pytest.raises(ValueError, match="consecutive factors"):
         sh.PoweredProduct(((("x",), 1), (("x",), 2)))
 
@@ -405,6 +410,82 @@ def test_monotone_in_base_set():
     r2 = sh.is_shirshov_base(alg, [("x",), ("y",)], h=2, d=2, D=4)
     assert r1.verdict == sh.NOT_WITNESSED
     assert r2.verdict == sh.WITNESSED
+
+
+# ---------------------------------------------------------- primitive bases
+
+
+def _random_presentation(rng, field):
+    # Graded by C1..C3 on up to three letters; each rule rewrites its lhs to
+    # deglex-smaller words of the same grade, so the presentation terminates.
+    m = rng.randint(1, 3)
+    alpha = sh.GradedAlphabet(sh.build_group(sh.cyclic(m)),
+                              [(s, rng.randrange(m)) for s in "xyz"[: rng.randint(1, 3)]])
+    syms = alpha.symbols
+    rules = {}
+    for _ in range(rng.randint(0, 2)):
+        lhs = tuple(rng.choice(syms) for _ in range(rng.randint(2, 3)))
+        grade = sh.grade_of(alpha, lhs)
+        smaller = [w for n in range(1, len(lhs) + 1) for w in itertools.product(syms, repeat=n)
+                   if (len(w), w) < (len(lhs), lhs) and sh.grade_of(alpha, w) == grade]
+        words = rng.sample(smaller, min(len(smaller), rng.randint(0, 2)))
+        if isinstance(field, sh.PrimeField):
+            coefs = [rng.randrange(1, field.p) for _ in words]
+        else:
+            coefs = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                     for _ in words]
+        rules[lhs] = tuple(zip(words, coefs))
+    return sh.AlgebraSpec(alpha, [sh.RewriteRule(lhs=l, rhs=r) for l, r in rules.items()],
+                          field)
+
+
+def test_primitive_bases_match_the_pairwise_rule():
+    # Symbols of different lengths, so "a b" and "ab" must stay apart.
+    rng = random.Random(37)
+    for _ in range(2000):
+        roots = [tuple(rng.choice(("a", "ab", "b")) for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 3))]
+        bases = [r * rng.randint(1, 6) for r in roots for _ in range(rng.randint(1, 4))]
+        rng.shuffle(bases)
+        naive = [b for b in dict.fromkeys(bases)
+                 if not any(c != b and len(b) % len(c) == 0 and c * (len(b) // len(c)) == b
+                            for c in bases)]
+        assert _primitive_bases(bases) == naive, bases
+
+
+def test_proper_powers_change_no_report(monkeypatch):
+    # A factor (c^k)^e is c^(ke), so squares and cubes of base words add no
+    # expansion: neither adding them nor enumerating them changes a report.
+    rng = random.Random(41)
+    for trial in range(60):
+        spec = _random_presentation(rng, (sh.PrimeField(3), sh.PrimeField(),
+                                          sh.RationalField())[trial % 3])
+        alpha, syms = spec.alphabet, spec.alphabet.symbols
+        h, d = rng.randint(1, 3), rng.randint(1, 4)
+        D = d + rng.randint(0, 3)
+        words = [w for n in (1, 2, 3) for w in itertools.product(syms, repeat=n)]
+        neutral = [w for w in words if sh.grade_of(alpha, w) == 0]
+        for check, pool in ((sh.is_shirshov_base, words), (sh.check_graded_theorem, neutral)):
+            S = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+            powered = S + [w * k for w in S for k in (2, 3)]
+            rng.shuffle(powered)
+            expect = check(spec, S, h, d, D)
+            assert check(spec, powered, h, d, D) == expect, (trial, check, S)
+            with monkeypatch.context() as m:
+                m.setattr(sh.spanning, "_primitive_bases", lambda b: list(dict.fromkeys(b)))
+                assert check(spec, powered, h, d, D) == expect, (trial, check, S)
+
+
+def test_caps_count_the_primitive_bases():
+    # Every product over x .. x^6 is a power of x, so only the 60 powers of x
+    # are built; all products over the six bases hold too many letters.
+    alg = sh.AlgebraSpec(sh.GradedAlphabet(sh.build_group(sh.cyclic(1)), [("x", 0)]), [])
+    S = [("x",) * k for k in range(1, 7)]
+    rep = sh.is_shirshov_base(alg, S, h=6, d=20, D=60)
+    assert rep.verdict == sh.WITNESSED
+    assert (rep.rank_products, rep.rank_joint) == (60, 60)
+    with pytest.raises(ValueError, match=f"more than {sh.spanning.LETTER_CAP} letters"):
+        sh.enumerate_products(S, 6, 60)
 
 
 def test_argument_validation():
