@@ -255,7 +255,9 @@ class AlgebraSpec:
         self.alphabet = alphabet
         self.rules = rules
         self.field = field
-        symbols = alphabet.symbols
+        # Symbols are interned in sorted name order, so code-point order on
+        # interned words is tuple order on symbol words.
+        symbols = sorted(alphabet.symbols)
         self._enc = {sym: _code(i) for i, sym in enumerate(symbols)}
         self._dec = {chr(i): sym for i, sym in enumerate(symbols)}
         # Redexes are found by one alternation of the distinct lhs words,
@@ -294,21 +296,19 @@ class AlgebraSpec:
                 self.alphabet.grade(sym)
             raise
 
-    def _decode(self, comb: dict, words: Optional[dict] = None) -> LinComb:
-        """Decode interned monomials to tuples.
+    def _decode(self, comb: dict) -> LinComb:
+        """Decode interned monomials to tuples."""
+        return {self._word(_interned(mono)): coef for mono, coef in comb.items()}
 
-        words maps the monomials of this spec decoded so far to their tuples
-        and is filled in; a monomial already in it comes back as that tuple.
-        """
-        words = {} if words is None else words
-        dec = self._dec.__getitem__
-        out = {}
-        for mono, coef in comb.items():
-            word = words.get(mono)
-            if word is None:
-                word = words[mono] = tuple(map(dec, mono.decode("utf-8", "surrogatepass")))
-            out[word] = coef
-        return out
+    def _word(self, interned: str) -> Word:
+        """The symbols of an interned word, one code point per symbol."""
+        return tuple(map(self._dec.__getitem__, interned))
+
+
+def _interned(mono: bytes) -> str:
+    # An interned word as a string: code point i stands for the i-th symbol in
+    # sorted name order.
+    return mono.decode("utf-8", "surrogatepass")
 
 
 def _splice_run(buf: bytearray, start: int, o: int, pos: int, end: int,
@@ -542,21 +542,19 @@ class SuffixChain:
     Pass one chain to normalize(..., memo=chain) over a run of words: each
     word then reuses the normal form of the longest suffix it shares with the
     word before, which is what ordering the run by reversed word maximizes.
-    The chain holds one word's suffixes at a time.  It also decodes each
-    distinct monomial of the results once, so equal normal forms share one
-    tuple.  That map keeps every distinct monomial the chain has returned and
-    is dropped only when the spec changes, so make a fresh chain for each run.
+    The chain holds one word's suffixes at a time.  normalize() returns the
+    monomials of a call given a chain as interned strings, one code point per
+    symbol (code point i is the i-th symbol in sorted name order), so that
+    deglex order on them is (length, string).
     """
 
-    __slots__ = ("_spec", "_word", "_forms", "_words")
+    __slots__ = ("_spec", "_word", "_forms")
 
     def __init__(self):
         self._spec: Optional[AlgebraSpec] = None
         self._word: Word = ()
         # _forms[k] = (normal form of the last k letters, steps to fold it).
         self._forms: list[tuple[dict, int]] = []
-        # Interned monomial -> decoded tuple, for monomials of _spec.
-        self._words: dict[bytes, Word] = {}
 
     def _fold(self, spec: AlgebraSpec, word: Word, codes: list[bytes], budget: int) -> dict:
         # Under a confluent presentation nf(a v) = nf(a nf(v)), so fold the
@@ -565,7 +563,7 @@ class SuffixChain:
         # whether it exhausts the budget, do not depend on what the chain
         # already holds.
         if self._spec is not spec:
-            self._spec, self._word, self._words = spec, (), {}
+            self._spec, self._word = spec, ()
             self._forms = [({b"": spec.field.one}, 0)]
         prev, forms = self._word, self._forms
         n = len(word)
@@ -598,17 +596,24 @@ def normalize(
     SuffixChain, and only when check_confluence certifies the presentation
     within the same budget, the word is folded from the right through the
     chain and charged the fold's steps, cached suffixes included; otherwise
-    it is rewritten leftmost-longest as a whole.
+    it is rewritten leftmost-longest as a whole.  Monomials are tuples of
+    symbols, or, on every call given a SuffixChain, interned strings (see
+    SuffixChain).
     """
     budget = _check_budget(step_budget)
     w = tuple(word)
     codes = spec._codes(w)
     if not spec.rules:
-        return {w: spec.field.one}
-    if memo is not None and check_confluence(spec, budget).confluent:
-        return spec._decode(memo._fold(spec, w, codes, budget), memo._words)
-    pending = {b"".join(codes): [spec.field.one, 0]}
-    return spec._decode(_rewrite(spec, pending, 0, budget)[0])
+        if memo is None:
+            return {w: spec.field.one}
+        form = {b"".join(codes): spec.field.one}
+    elif memo is not None and check_confluence(spec, budget).confluent:
+        form = memo._fold(spec, w, codes, budget)
+    else:
+        form = _rewrite(spec, {b"".join(codes): [spec.field.one, 0]}, 0, budget)[0]
+    if memo is None:
+        return spec._decode(form)
+    return {_interned(mono): coef for mono, coef in form.items()}
 
 
 def algebra_from_json(obj: object) -> AlgebraSpec:

@@ -52,11 +52,13 @@ ENUM_CAP = 1_000_000
 LETTER_CAP = 10_000_000
 
 
-def _deglex(mono: Word) -> tuple[int, Word]:
+# Deglex keys apply to symbol tuples and to interned strings alike: both
+# compare symbol by symbol in name order.
+def _deglex(mono: Word | str) -> tuple[int, Word | str]:
     return (len(mono), mono)
 
 
-def _deglex_term(term: tuple[Word, object]) -> tuple[int, Word]:
+def _deglex_term(term: tuple[Word | str, object]) -> tuple[int, Word | str]:
     return (len(term[0]), term[0])
 
 
@@ -424,11 +426,13 @@ def _span_check(
     rank_products = echelon.rank
 
     # Reduce every target against the products first, then extend the same
-    # echelon by the ones left over to read the joint rank.
-    missing: set[Word] = set()
+    # echelon by the ones left over to read the joint rank.  A target is
+    # irreducible, so the chain takes no step on it; passing the chain keeps
+    # its monomials interned like the products', and only missing is decoded.
+    missing: set[str] = set()
     outside: list[LinComb] = []
     for mono in targets:
-        nf = normalize(spec, mono, step_budget)
+        nf = normalize(spec, mono, step_budget, chain)
         residual = echelon.reduce(nf)
         if residual:
             missing.add(max(residual, key=_deglex))
@@ -447,7 +451,7 @@ def _span_check(
         height=h,
         rank_products=rank_products,
         rank_joint=rank_joint,
-        missing=tuple(sorted(missing, key=_deglex)),
+        missing=tuple(map(spec._word, sorted(missing, key=_deglex))),
         confluent=confluent,
     )
 

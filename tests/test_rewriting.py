@@ -441,9 +441,24 @@ def _pingpong_algebra():
     )
 
 
-# Symbols whose codes take one, two and three UTF-8 bytes, with neighbours
-# across each boundary.
-_WIDE = [f"s{i}" for i in (0, 1, 126, 127, 128, 129, 255, 256, 2046, 2047, 2048, 2049)]
+# Symbols are interned in sorted name order, so symbol i of the sorted names
+# gets code i.  These take one, two and three UTF-8 bytes, with neighbours
+# across each boundary; the alphabet lists them far from those positions.
+_WIDE_NAMES = sorted(f"s{i}" for i in range(2100))
+_WIDE = [_WIDE_NAMES[i] for i in (0, 1, 126, 127, 128, 129, 255, 256, 2046, 2047, 2048, 2049)]
+
+
+def _interned_word(alg, word):
+    # The documented contract: code point i is the i-th symbol in sorted
+    # name order.
+    symbols = sorted(alg.alphabet.symbols)
+    return tuple(symbols[ord(c)] for c in word)
+
+
+def _decoded(alg, form):
+    """A normal form from the memo path, with every monomial decoded."""
+    assert all(type(mono) is str for mono in form)
+    return {_interned_word(alg, mono): coef for mono, coef in form.items()}
 
 
 def _wide_algebra():
@@ -517,31 +532,38 @@ def test_memo_path_equals_direct_path_in_any_order(make, letters):
     for order in (sorted(words, key=lambda w: w[::-1]), words[::-1], words):
         chain = sh.SuffixChain()
         for w in order:
-            assert sh.normalize(alg, w, 10**6, chain) == direct[w]
+            assert _decoded(alg, sh.normalize(alg, w, 10**6, chain)) == direct[w]
 
 
-def test_chain_decodes_each_monomial_once():
-    alg = _fixture_algebra()
+def _free_out_of_name_order():
+    group = sh.build_group(sh.cyclic(2))
+    return sh.AlgebraSpec(sh.GradedAlphabet(group, [("y", 0), ("x", 1), ("b", 0)]), [])
+
+
+@pytest.mark.parametrize("make, letters, certified", [
+    pytest.param(_fixture_algebra, "xy", True, id="fold"),
+    pytest.param(_leftmost_algebra, "xyzuv", False, id="uncertified"),
+    pytest.param(_free_out_of_name_order, "yxb", True, id="rule-free"),
+])
+def test_chain_returns_interned_words(make, letters, certified):
+    # Given a chain, every monomial comes back as a string with one code
+    # point per symbol, and decodes to the direct path's monomial; without a
+    # chain the monomials stay tuples.
+    alg = make()
+    assert sh.check_confluence(alg).confluent is certified
     rng = random.Random(3)
-    words = _random_words(rng, "xy", 200, 7)
+    words = _random_words(rng, letters, 100, 7)
     words.sort(key=lambda w: w[::-1])
     chain = sh.SuffixChain()
-    forms = [sh.normalize(alg, w, memo=chain) for w in words]
-    assert forms == [sh.normalize(alg, w) for w in words]
-    # Equal monomials come back as one shared tuple.
-    first: dict = {}
-    for form in forms:
-        for mono in form:
-            assert first.setdefault(mono, mono) is mono
-    assert len(first) < sum(map(len, forms))
-    twice = [sh.normalize(alg, w, memo=chain) for w in (("x", "y"), ("y", "y", "x"))]
-    assert twice[0] == twice[1] == {("y", "y", "x"): 1}
-    assert next(iter(twice[0])) is next(iter(twice[1]))
+    for w in words:
+        direct = sh.normalize(alg, w)
+        assert all(type(mono) is tuple for mono in direct)
+        assert _decoded(alg, sh.normalize(alg, w, memo=chain)) == direct
 
 
-def test_chain_decode_map_follows_the_spec():
-    # x, y and a, b intern to the same bytes, so one chain that crossed from
-    # one spec to the other must not hand back the other spec's tuples.
+def test_chain_words_follow_the_spec():
+    # x, y and a, b intern to the same code points, so one chain that crossed
+    # from one spec to the other must give each spec's own normal form.
     group = sh.build_group(sh.cyclic(2))
     xy = _fixture_algebra()
     ab = sh.AlgebraSpec(
@@ -551,8 +573,7 @@ def test_chain_decode_map_follows_the_spec():
     chain = sh.SuffixChain()
     for alg, word in [(xy, "xy"), (ab, "ab"), (xy, "xxy"), (ab, "aab"), (ab, "ab")]:
         got = sh.normalize(alg, tuple(word), memo=chain)
-        assert got == sh.normalize(alg, tuple(word))
-        assert all(set(mono) <= set(alg.alphabet.symbols) for mono in got)
+        assert _decoded(alg, got) == sh.normalize(alg, tuple(word))
 
 
 def test_memo_closed_form_charges_fold_steps_on_both_paths():
@@ -568,7 +589,8 @@ def test_memo_closed_form_charges_fold_steps_on_both_paths():
         for memo in (None, sh.SuffixChain(), warm):
             with pytest.raises(sh.StepBudgetExceeded):
                 sh.normalize(alg, word, steps - 1, memo)
-            assert sh.normalize(alg, word, steps, memo) == expect
+            got = sh.normalize(alg, word, steps, memo)
+            assert (got if memo is None else _decoded(alg, got)) == expect
 
 
 def test_warm_chain_charges_a_cached_word_against_a_smaller_budget():
@@ -577,7 +599,8 @@ def test_warm_chain_charges_a_cached_word_against_a_smaller_budget():
     alg = _fixture_algebra()
     word = ("x", "x", "y", "y")
     chain = sh.SuffixChain()
-    assert sh.normalize(alg, word, 10**6, chain) == {("y",) * 8 + ("x", "x"): 1}
+    got = sh.normalize(alg, word, 10**6, chain)
+    assert _decoded(alg, got) == {("y",) * 8 + ("x", "x"): 1}
     with pytest.raises(sh.StepBudgetExceeded):
         sh.normalize(alg, word, 5, chain)
 
@@ -587,8 +610,8 @@ def test_memo_ignored_on_uncertified_presentation():
     # strategy gives "u z", and stays in force when the chain is passed.
     chain = sh.SuffixChain()
     alg = _leftmost_algebra()
-    assert sh.normalize(alg, ("y", "z"), memo=chain) == {("v",): 1}
-    assert sh.normalize(alg, ("x", "y", "z"), memo=chain) == {("u", "z"): 1}
+    assert _decoded(alg, sh.normalize(alg, ("y", "z"), memo=chain)) == {("v",): 1}
+    assert _decoded(alg, sh.normalize(alg, ("x", "y", "z"), memo=chain)) == {("u", "z"): 1}
     with pytest.raises(sh.StepBudgetExceeded):
         sh.normalize(_pingpong_algebra(), ("x", "y"), 99, sh.SuffixChain())
 
@@ -656,10 +679,11 @@ def _periodic_words(rng, alg, letters):
 ])
 def test_periodic_runs_match_naive_rewriter(runs, field, size, letters):
     # A run of identical steps taken in one splice gives the normal form, the
-    # step count and the budget verdict of one step at a time; over 200
-    # symbols the codes of s128 and up take two bytes.
+    # step count and the budget verdict of one step at a time.  letters are
+    # codes, that is positions in name order; over 200 symbols codes 128 and
+    # up take two bytes.
     alpha = _trivial_alphabet(*(f"s{i}" for i in range(size)))
-    letters = [f"s{i}" for i in letters]
+    letters = [sorted(alpha.symbols)[i] for i in letters]
     rng = random.Random(11)
     budget = 1000
     exhausted = 0
@@ -732,6 +756,9 @@ def test_long_closed_form_words_take_exact_steps_quickly():
         "    steps = K * ((1 << a) - 1)\n"
         "    chain = sh.SuffixChain() if memo else None\n"
         "    nf = sh.normalize(alg, word, steps, chain)\n"
+        "    if chain:  # code point i is the i-th symbol in sorted name order\n"
+        "        names = sorted(alpha.symbols)\n"
+        "        nf = {tuple(names[ord(c)] for c in m): v for m, v in nf.items()}\n"
         "    assert nf == {('y',) * (K << a) + ('x',) * a: 1}, (a, K)\n"
         "    try:\n"
         "        sh.normalize(alg, word, steps - 1, chain)\n"

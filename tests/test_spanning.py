@@ -521,6 +521,107 @@ def test_step_budget_propagates():
         sh.is_shirshov_base(pingpong, [("x",), ("y",)], h=2, d=3, step_budget=50)
 
 
+# ------------------------------------------------------ interned normal forms
+
+
+def _wide_algebra(field):
+    # 140 symbols listed against name order; all but the last four in name
+    # order rewrite to 0, so the targets are words in those four.  Their
+    # codes (positions in name order) take two UTF-8 bytes.  The two rules
+    # have two-term right-hand sides, so residuals have several terms and
+    # their leading monomials depend on the monomial order.
+    names = sorted((f"g{i}" for i in range(140)), reverse=True)
+    p, q, r, t = active = names[3::-1]
+    grades = {p: 1, q: 0, r: 0, t: 1}
+    alpha = sh.GradedAlphabet(sh.build_group(sh.cyclic(2)),
+                              [(s, grades.get(s, 0)) for s in names])
+    c = field.parse
+    rules = [sh.RewriteRule((s,), ()) for s in names if s not in active]
+    rules += [
+        sh.RewriteRule((r, q), (((q, r), c("1")), ((q, q), c("2")))),
+        sh.RewriteRule((t, p), (((p, t), c("3")), ((q,), c("-1")))),
+    ]
+    return sh.AlgebraSpec(alpha, rules, field), active
+
+
+def _reference_check(spec, bases, h, d, D, targets):
+    """Ranks and missing monomials from tuple-keyed normal forms (no chain)."""
+    echelon = sh.RowEchelon(spec.field)
+    for w in {p.expansion() for p in sh.enumerate_products(bases, h, D)}:
+        nf = sh.normalize(spec, w)
+        if nf:
+            echelon.add(nf)
+    rank_products = echelon.rank
+    missing, outside = set(), []
+    for t in targets:
+        nf = sh.normalize(spec, t)
+        residual = echelon.reduce(nf)
+        if residual:
+            missing.add(max(residual, key=lambda w: (len(w), w)))
+            outside.append(nf)
+    for nf in outside:
+        echelon.add(nf)
+    return rank_products, echelon.rank, missing
+
+
+def _deglex_sorted(words):
+    return tuple(sorted(words, key=lambda w: (len(w), w)))
+
+
+@pytest.mark.parametrize("field", [sh.PrimeField(7), sh.RationalField()], ids=["F7", "Q"])
+def test_wide_alphabet_out_of_name_order_matches_tuple_reference(field):
+    spec, active = _wide_algebra(field)
+    p, q, r, t = active
+    alpha = spec.alphabet
+    assert sh.check_confluence(spec).confluent
+    lhss = [rule.lhs for rule in spec.rules]
+    d = 3
+    targets = [w for n in range(1, d + 1) for w in itertools.product(active, repeat=n)
+               if not any(w[i : i + 2] in lhss for i in range(n - 1))]
+
+    bases = [(p,), (q, r), (t,)]
+    report = sh.is_shirshov_base(spec, bases, 2, d, 4)
+    ranks = _reference_check(spec, bases, 2, d, 4, targets)
+    assert (report.rank_products, report.rank_joint) == ranks[:2]
+    assert report.missing == _deglex_sorted(ranks[2])
+    assert report.verdict == sh.NOT_WITNESSED
+
+    # Phase (ii) adds every generator as a base, so keep d = D = 2 there.
+    d = 2
+    targets = [w for w in targets if len(w) <= d]
+    identity = [w for w in targets if sh.grade_of(alpha, w) == 0]
+    S_e = [(q,), (p, p)]
+    report = sh.check_graded_theorem(spec, S_e, 1, d, d)
+    neutral = _reference_check(spec, S_e, 1, d, d, identity)
+    full = S_e + [(s,) for s in alpha.symbols]
+    total = _reference_check(spec, full, sh.height_bound(1, 2), d, d, targets)
+    assert (report.neutral.rank_products, report.neutral.rank_joint) == neutral[:2]
+    assert report.neutral.missing == _deglex_sorted(neutral[2])
+    assert (report.rank_products, report.rank_joint) == total[:2]
+    assert report.missing == _deglex_sorted(neutral[2] | total[2])
+    assert report.missing
+
+
+def test_witnessed_graded_check_decodes_no_monomial(monkeypatch):
+    # Normal forms stay interned from the rewriting engine to the echelon;
+    # only reported missing monomials are decoded, one call each.
+    calls = []
+    for name in ("_decode", "_word"):
+        method = getattr(sh.AlgebraSpec, name)
+
+        def counted(self, *args, method=method, name=name):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(sh.AlgebraSpec, name, counted)
+    report = sh.check_graded_theorem(_fixture_algebra(), [("y",), ("x", "x")], h=2, d=8, D=16)
+    assert report.witnessed and report.rank_joint == 3414
+    assert calls == []
+    report = sh.is_shirshov_base(_free_algebra(), [("y",), ("x", "x")], h=2, d=3)
+    assert not report.witnessed
+    assert calls == ["_word"] * len(report.missing)
+
+
 # ------------------------------------------------------- check_graded_theorem
 
 
