@@ -13,6 +13,11 @@ Termination of the presentation is the caller's assertion; a step budget
 turns runaway presentations into an error instead of a hang.
 
 Coefficients live in F_p (default p = 1000003) or in the exact rationals.
+The engine computes in the field's working ring: F_p itself, and over Q the
+canonical integer pairs of _QPairs, since a Fraction operation costs several
+times a pair operation.  Rule coefficients enter that ring once, when a spec
+is built; normal forms and confluence reports leave it as field values, so
+callers only ever see Fractions over Q.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from . import _wire
@@ -90,6 +96,9 @@ def _is_prime(p: int) -> bool:
 class PrimeField:
     """Arithmetic in F_p on plain ints in [0, p)."""
 
+    # Rule coefficients must be ints; bools are rejected separately.
+    _elements = (int,)
+
     def __init__(self, p: int = DEFAULT_PRIME):
         if not isinstance(p, int) or p >= 2**64 or not _is_prime(p):
             raise ValueError(f"field modulus must be a prime below 2^64, got {p!r}.")
@@ -132,9 +141,65 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
+    @property
+    def _ring(self) -> PrimeField:
+        # The rewriting engine computes in F_p itself.
+        return self
+
+
+class _QPairs:
+    """Q on canonical integer pairs (n, d): d > 0 and gcd(n, d) = 1.
+
+    The rewriting engine's working ring over the rationals.  Each operation
+    reduces its result by one gcd, so a value has exactly one representation,
+    equal values compare equal, and the sizes stay those Fraction would have.
+    """
+
+    zero = (0, 1)
+    one = (1, 1)
+
+    @staticmethod
+    def is_zero(a: tuple[int, int]) -> bool:
+        return not a[0]
+
+    @staticmethod
+    def add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        n, d = a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+        g = gcd(n, d)
+        return (n // g, d // g)
+
+    @staticmethod
+    def mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        n, d = a[0] * b[0], a[1] * b[1]
+        g = gcd(n, d)
+        return (n // g, d // g)
+
+    @staticmethod
+    def pow(a: tuple[int, int], k: int) -> tuple[int, int]:
+        # Powers of coprime n and d > 0 stay coprime, with d**k > 0.
+        return (a[0] ** k, a[1] ** k)
+
+    @staticmethod
+    def lift(c: int | Fraction) -> tuple[int, int]:
+        return (c.numerator, c.denominator)
+
+    @staticmethod
+    def value(a: tuple[int, int]) -> Fraction:
+        return Fraction(a[0], a[1])
+
 
 class RationalField:
-    """Exact rational arithmetic on fractions.Fraction."""
+    """Exact rational arithmetic on fractions.Fraction.
+
+    These methods are the field's public arithmetic.  The rewriting engine
+    does not call them: it computes in the working ring _QPairs and hands
+    back Fractions.
+    """
+
+    # Rule coefficients must be ints or Fractions; bools are rejected
+    # separately.
+    _elements = (int, Fraction)
+    _ring = _QPairs
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -233,11 +298,18 @@ class AlgebraSpec:
         field: PrimeField | RationalField | None = None,
     ):
         field = PrimeField() if field is None else field
+        if not isinstance(field, (PrimeField, RationalField)):
+            raise ValueError(f"field must be a PrimeField or a RationalField, got {field!r}.")
         rules = tuple(rules)
         for rule in rules:
             lhs_grade = grade_of(alphabet, rule.lhs)
             seen: set[Word] = set()
             for rword, coef in rule.rhs:
+                if isinstance(coef, bool) or not isinstance(coef, field._elements):
+                    raise ValueError(
+                        f"coefficient {coef!r} on {' '.join(rword)!r} in a rule rhs "
+                        f"is not an element of {field!r}."
+                    )
                 if field.is_zero(coef):
                     raise ValueError(
                         f"zero coefficient on {' '.join(rword)!r} in a rule rhs."
@@ -255,6 +327,7 @@ class AlgebraSpec:
         self.alphabet = alphabet
         self.rules = rules
         self.field = field
+        self._ring = field._ring
         # Symbols are interned in sorted name order, so code-point order on
         # interned words is tuple order on symbol words.
         symbols = sorted(alphabet.symbols)
@@ -266,15 +339,12 @@ class AlgebraSpec:
         # longest lhs, the earlier rule winning ties.  Two lhs words that
         # match at one position are prefix-related, so byte length orders
         # them as symbol length does.  Each lhs maps to its rhs terms as
-        # (interned word, coefficient) pairs.
+        # (interned word, ring coefficient) pairs.
         self._actions: dict[bytes, tuple] = {}
         for idx in sorted(
             range(len(rules)), key=lambda i: (-len(self._encode(rules[i].lhs)), i)
         ):
-            self._actions.setdefault(
-                self._encode(rules[idx].lhs),
-                tuple((self._encode(rword), coef) for rword, coef in rules[idx].rhs),
-            )
+            self._actions.setdefault(self._encode(rules[idx].lhs), self._lift(rules[idx].rhs))
         self._redex = re.compile(
             b"|".join(map(re.escape, self._actions)) if rules else b"(?!)"
         )
@@ -296,9 +366,24 @@ class AlgebraSpec:
                 self.alphabet.grade(sym)
             raise
 
+    def _lift(self, rhs: Sequence[tuple[Word, object]]) -> tuple:
+        """Rule terms as (interned word, ring coefficient) pairs."""
+        if self._ring is self.field:
+            return tuple((self._encode(rword), coef) for rword, coef in rhs)
+        lift = self._ring.lift
+        return tuple((self._encode(rword), lift(coef)) for rword, coef in rhs)
+
+    def _export(self, form: dict, key) -> LinComb:
+        """A form from the engine with key applied to each interned monomial
+        and each ring value made a field value."""
+        if self._ring is self.field:
+            return {key(mono): coef for mono, coef in form.items()}
+        value = self._ring.value
+        return {key(mono): value(coef) for mono, coef in form.items()}
+
     def _decode(self, comb: dict) -> LinComb:
-        """Decode interned monomials to tuples."""
-        return {self._word(_interned(mono)): coef for mono, coef in comb.items()}
+        """Decode interned monomials to tuples and ring values to field values."""
+        return self._export(comb, lambda mono: self._word(_interned(mono)))
 
     def _word(self, interned: str) -> Word:
         """The symbols of an interned word, one code point per symbol."""
@@ -358,16 +443,17 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
     """Normal form of a linear combination of interned monomials.
 
     pending maps each monomial to [coefficient, scan hint], where no position
-    left of the hint starts an lhs occurrence; it is consumed.  Monomials are
-    rewritten leftmost-longest, counting on from steps, one step per rule
+    left of the hint starts an lhs occurrence; it is consumed.  Coefficients,
+    the result's included, are values of the spec's working ring.  Monomials
+    are rewritten leftmost-longest, counting on from steps, one step per rule
     application; passing budget raises StepBudgetExceeded.  A run of n
     identical single-term steps that each delete one copy of a block from the
     scan state (x through y^K under x y -> y y x) is done in one splice and
     charged n steps, exactly as one at a time.  Returns the normal form and
     the step count.
     """
-    field = spec.field
-    mul, add, is_zero, zero = field.mul, field.add, field.is_zero, field.zero
+    ring = spec._ring
+    mul, add, is_zero, zero = ring.mul, ring.add, ring.is_zero, ring.zero
     search = spec._redex.search
     actions = spec._actions
     back = spec._back
@@ -397,7 +483,7 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
                         if steps > budget:
                             raise _exhausted(budget)
                         start += n * (o - back)
-                        coef = mul(coef, field.pow(rcoef, n))
+                        coef = mul(coef, ring.pow(rcoef, n))
                     else:
                         last = o
                         prev = rhs
@@ -512,7 +598,7 @@ def check_confluence(spec: AlgebraSpec, step_budget: int | None = None) -> Confl
     def side(word: Word, pos: int, rule: RewriteRule) -> Optional[dict]:
         pre = spec._encode(word[:pos])
         post = spec._encode(word[pos + len(rule.lhs) :])
-        pending = {pre + spec._encode(rw) + post: [c, 0] for rw, c in rule.rhs}
+        pending = {pre + rw + post: [c, 0] for rw, c in spec._lift(rule.rhs)}
         try:
             return _rewrite(spec, pending, 0, budget)[0]
         except StepBudgetExceeded:
@@ -553,7 +639,8 @@ class SuffixChain:
     def __init__(self):
         self._spec: Optional[AlgebraSpec] = None
         self._word: Word = ()
-        # _forms[k] = (normal form of the last k letters, steps to fold it).
+        # _forms[k] = (normal form of the last k letters, steps to fold it),
+        # its coefficients in the spec's working ring.
         self._forms: list[tuple[dict, int]] = []
 
     def _fold(self, spec: AlgebraSpec, word: Word, codes: list[bytes], budget: int) -> dict:
@@ -564,7 +651,7 @@ class SuffixChain:
         # already holds.
         if self._spec is not spec:
             self._spec, self._word = spec, ()
-            self._forms = [({b"": spec.field.one}, 0)]
+            self._forms = [({b"": spec._ring.one}, 0)]
         prev, forms = self._word, self._forms
         n = len(word)
         shared = 0
@@ -606,14 +693,14 @@ def normalize(
     if not spec.rules:
         if memo is None:
             return {w: spec.field.one}
-        form = {b"".join(codes): spec.field.one}
+        form = {b"".join(codes): spec._ring.one}
     elif memo is not None and check_confluence(spec, budget).confluent:
         form = memo._fold(spec, w, codes, budget)
     else:
-        form = _rewrite(spec, {b"".join(codes): [spec.field.one, 0]}, 0, budget)[0]
+        form = _rewrite(spec, {b"".join(codes): [spec._ring.one, 0]}, 0, budget)[0]
     if memo is None:
         return spec._decode(form)
-    return {_interned(mono): coef for mono, coef in form.items()}
+    return spec._export(form, _interned)
 
 
 def algebra_from_json(obj: object) -> AlgebraSpec:

@@ -22,7 +22,10 @@ from .rewriting import (
     AlgebraSpec,
     LinComb,
     PrimeField,
+    StepBudgetExceeded,
     SuffixChain,
+    _check_budget,
+    _rewrite,
     check_confluence,
     normalize,
 )
@@ -245,6 +248,30 @@ def _primitive_bases(bases: Sequence[Word]) -> list[Word]:
     return [w for w, root, i in rooted if not proper_power(root, i)]
 
 
+def _live_bases(spec: AlgebraSpec, bases: Sequence[Word], D: int,
+                step_budget: int | None) -> list[Word]:
+    """The bases of at most D letters whose normal form is not 0.
+
+    Only for a confluent presentation: there nf(u b v) = nf(u nf(b) v), so
+    a product with a base whose normal form is 0 is itself 0.  Each base is
+    rewritten by the engine, not by normalize, so that normalize is called
+    once per row; a base that exhausts the step budget is kept.
+    """
+    budget = _check_budget(step_budget)
+    one = spec._ring.one
+    live = []
+    for b in bases:
+        if len(b) > D:
+            continue
+        try:
+            if not _rewrite(spec, {spec._encode(b): [one, 0]}, 0, budget)[0]:
+                continue
+        except StepBudgetExceeded:
+            pass
+        live.append(b)
+    return live
+
+
 class RowEchelon:
     """Incremental exact row echelon keyed by deglex-leading monomials.
 
@@ -273,7 +300,7 @@ class RowEchelon:
         den = 1
         for c in row.values():
             den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = {w: int(c * den) for w, c in row.items() if c}
+        ints = {w: c.numerator * (den // c.denominator) for w, c in row.items() if c}
         if not ints:
             return {}
         g = 0
@@ -407,14 +434,18 @@ def _span_check(
     step_budget: int | None,
 ) -> SpanReport:
     confluent = check_confluence(spec, step_budget).confluent
-    # A proper power of another base adds no expansion, so only the
-    # primitive bases are enumerated, and the caps count their products.
-    # In reversed-word order each expansion shares the longest available
-    # suffix with the one before, which the chain then reuses.  Ranks and
-    # residual leading monomials do not depend on the order of insertion.
+    # A proper power of another base adds no expansion, and on a confluent
+    # presentation a base with normal form 0 adds only products that are 0,
+    # so only the primitive live bases are enumerated, and the caps count
+    # their products.  In reversed-word order each expansion shares the
+    # longest available suffix with the one before, which the chain then
+    # reuses.  Ranks and residual leading monomials do not depend on the
+    # order of insertion.
+    bases = _primitive_bases(bases)
+    if confluent:
+        bases = _live_bases(spec, bases, D, step_budget)
     expansions = sorted(
-        {p.expansion() for p in enumerate_products(_primitive_bases(bases), h, D)},
-        key=lambda w: w[::-1],
+        {p.expansion() for p in enumerate_products(bases, h, D)}, key=lambda w: w[::-1]
     )
 
     echelon = RowEchelon(spec.field)

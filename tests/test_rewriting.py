@@ -1,5 +1,6 @@
 """String rewriting to normal forms over exact coefficient fields."""
 
+import itertools
 import math
 import random
 import subprocess
@@ -102,6 +103,22 @@ def test_rational_field():
         Q.parse("1/0")
 
 
+def test_rational_working_ring_is_canonical():
+    # The engine's pairs (n, d), d > 0 and coprime, are Fraction's own
+    # numerator and denominator after every operation.
+    ring = rewriting._QPairs
+    rng = random.Random(5)
+    values = [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(300)]
+    pair = ring.lift
+    for a, b in zip(values, values[1:]):
+        assert ring.add(pair(a), pair(b)) == pair(a + b)
+        assert ring.mul(pair(a), pair(b)) == pair(a * b)
+        assert ring.pow(pair(a), 3) == pair(a**3)
+        assert ring.is_zero(pair(a)) == (a == 0)
+        assert ring.value(pair(a)) == a and type(ring.value(pair(a))) is Fraction
+    assert (ring.zero, ring.one) == (pair(Fraction(0)), pair(1))
+
+
 def test_field_json():
     assert sh.field_from_json({"prime": 7}) == sh.PrimeField(7)
     assert sh.field_from_json({"rationals": True}) == sh.RationalField()
@@ -150,6 +167,43 @@ def test_algebra_rejects_inhomogeneous_rule():
             alphabet=_z2_alphabet(),
             rules=[sh.RewriteRule(lhs=("x",), rhs=((("y",), 1),))],
         )
+
+
+@pytest.mark.parametrize("field, coef", [
+    pytest.param(sh.RationalField(), 0.5, id="float-Q"),
+    pytest.param(sh.PrimeField(7), 2.5, id="float-F7"),
+    pytest.param(sh.PrimeField(7), Fraction(1, 2), id="fraction-F7"),
+    pytest.param(sh.RationalField(), "3", id="str-Q"),
+    pytest.param(sh.RationalField(), True, id="bool-Q"),
+    pytest.param(sh.PrimeField(7), True, id="bool-F7"),
+])
+def test_algebra_rejects_coefficients_outside_the_field(field, coef):
+    # Accepted once: 0.5 over Q gave the normal form {x y y: 0.25}, 2.5 over
+    # F_7 gave 6.25 and Fraction(1, 2) over F_7 gave Fraction(1, 4), while
+    # "3" over Q raised TypeError.
+    rule = sh.RewriteRule(lhs=("y", "x"), rhs=((("x", "y"), coef),))
+    with pytest.raises(ValueError, match="coefficient .* on 'x y' .* not an element"):
+        sh.AlgebraSpec(_z2_alphabet(), [rule], field)
+
+
+def test_algebra_accepts_ints_and_fractions_over_q_and_ints_over_fp():
+    # y x -> c x y gives nf(y y x) = c^2 x y y, as a field value.
+    for field, coef, square in [
+        (sh.RationalField(), 2, Fraction(4)),
+        (sh.RationalField(), Fraction(-1, 2), Fraction(1, 4)),
+        (sh.PrimeField(7), 3, 2),
+        (sh.PrimeField(7), -1, 1),
+    ]:
+        rule = sh.RewriteRule(lhs=("y", "x"), rhs=((("x", "y"), coef),))
+        alg = sh.AlgebraSpec(_z2_alphabet(), [rule], field)
+        nf = sh.normalize(alg, ("y", "y", "x"))
+        assert nf == {("x", "y", "y"): square}
+        assert type(nf["x", "y", "y"]) is type(field.one)
+
+
+def test_algebra_rejects_an_unknown_field():
+    with pytest.raises(ValueError, match="field must be"):
+        sh.AlgebraSpec(_z2_alphabet(), [], "Q")
 
 
 # ---------------------------------------------------------------- normalize
@@ -517,6 +571,89 @@ def test_engine_matches_naive_rewriter(make, letters, longest, budget):
                 sh.normalize(alg, word, step_budget=steps - 1)
 
 
+def _decreasing_presentation(rng, alpha, field):
+    """1-4 rules with 1-3 terms each, every rhs word deglex below its lhs.
+
+    Such a presentation terminates.  Coefficients take both signs and
+    denominators up to 3, and rhs words are short, so forks often meet and
+    cancel.
+    """
+    syms = sorted(alpha.symbols)
+    words = [w for n in range(4) for w in itertools.product(syms, repeat=n)]
+    rules = {}
+    for _ in range(rng.randint(1, 4)):
+        lhs = tuple(rng.choice(syms) for _ in range(rng.randint(1, 3)))
+        below = [w for w in words if (len(w), w) < (len(lhs), lhs)]
+        rhs = rng.sample(below, min(len(below), rng.randint(1, 3)))
+        rules[lhs] = tuple(
+            (w, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))) for w in rhs
+        )
+    return sh.AlgebraSpec(alpha, [sh.RewriteRule(l, r) for l, r in rules.items()], field)
+
+
+def test_rational_engine_matches_naive_rewriter_on_random_presentations(monkeypatch):
+    # Over Q the engine computes on integer pairs; the naive rewriter uses
+    # RationalField's Fraction arithmetic.  Every rhs has a term, so a normal
+    # form of 0 comes from forks that cancel; zero_sums counts the engine's
+    # sums that cancel to 0, whole normal forms or single monomials.
+    zero_sums = []
+    add = rewriting._QPairs.add
+
+    def counted(a, b):
+        acc = add(a, b)
+        if acc == rewriting._QPairs.zero:
+            zero_sums.append(acc)
+        return acc
+
+    monkeypatch.setattr(rewriting._QPairs, "add", staticmethod(counted))
+    alpha = _trivial_alphabet("a", "b", "c")
+    rng = random.Random(23)
+    budget = 10**5
+    cancelled = 0
+    for _ in range(80):
+        alg = _decreasing_presentation(rng, alpha, sh.RationalField())
+        for word in _random_words(rng, "abc", 12, 7):
+            expect, steps = _naive_normalize(alg, word, budget)
+            got = sh.normalize(alg, word, budget)
+            assert got == expect
+            assert all(type(c) is Fraction for c in got.values())
+            cancelled += steps > 0 and not expect
+            if steps > 1:
+                assert sh.normalize(alg, word, steps) == expect
+                with pytest.raises(sh.StepBudgetExceeded):
+                    sh.normalize(alg, word, steps - 1)
+    assert cancelled > 0 and len(zero_sums) > 50
+
+
+def test_rational_results_are_fractions_on_every_path():
+    # The engine's integer pairs never leave it: chain, whole-word and
+    # rule-free normal forms, and both sides of an unresolved ambiguity,
+    # hold Fractions.
+    Q = sh.RationalField()
+    uncertified = sh.AlgebraSpec(
+        alphabet=_trivial_alphabet("x", "y", "z", "u", "v"),
+        rules=[
+            sh.RewriteRule(lhs=("x", "y"), rhs=((("u",), Fraction(1, 2)),)),
+            sh.RewriteRule(lhs=("y", "z"), rhs=((("v",), Fraction(-2, 3)), (("u",), 1))),
+        ],
+        field=Q,
+    )
+    free = sh.AlgebraSpec(_z2_alphabet(), [], Q)
+    words = [tuple(w) for w in ("", "x", "yx", "yyx", "xyz", "yzx", "xyyx", "yyxx")]
+    for alg, letters in ((_branching_algebra(), "xy"), (uncertified, "xyzuv"), (free, "xy")):
+        chain = sh.SuffixChain()
+        for word in words:
+            if set(word) <= set(letters):
+                for memo in (None, chain):
+                    nf = sh.normalize(alg, word, memo=memo)
+                    assert all(type(c) is Fraction for c in nf.values()), (alg, word, memo)
+    amb = sh.check_confluence(uncertified).unresolved
+    assert (amb.left, amb.right) == (
+        {("u", "z"): Fraction(1, 2)}, {("x", "v"): Fraction(-2, 3), ("x", "u"): Fraction(1)}
+    )
+    assert all(type(c) is Fraction for side in (amb.left, amb.right) for c in side.values())
+
+
 @pytest.mark.parametrize("make, letters", [
     pytest.param(_fixture_algebra, "xy", id="fixture"),
     pytest.param(_branching_algebra, "xy", id="branching"),
@@ -721,7 +858,9 @@ def test_periodic_run_multiplies_coefficient_power(runs, field, coef):
         word = ("x",) + ("y",) * K
         expect = {("y",) * (2 * K) + ("x",): field.pow(coef, K)}
         assert expect == _naive_normalize(alg, word, K)[0]
-        assert sh.normalize(alg, word, K) == expect
+        got = sh.normalize(alg, word, K)
+        assert got == expect
+        assert all(type(c) is type(field.one) for c in got.values())
     assert max(runs) > 200
     assert field.pow(coef, 0) == field.one
     assert field.pow(coef, 3) == field.mul(coef, field.mul(coef, coef))
@@ -825,6 +964,30 @@ def test_check_confluence_finds_inclusions():
     assert cert.unresolved == sh.Ambiguity(
         "inclusion", (0, 1), ("a", "b", "c"), {("c",): 1}, {("a", "c", "c"): 1}
     )
+
+
+@pytest.mark.parametrize("x_y, u_z, s_z", [
+    # (1/2)(4/3) against (2/3)(1): equal products of different factors.
+    pytest.param(((("u",), Fraction(1, 2)),), Fraction(4, 3), None, id="products"),
+    # (1/2) + (1/2)(1/3) against (2/3): equal sums of different terms.
+    pytest.param(((("u",), Fraction(1, 2)), (("s",), Fraction(1, 2))), 1, Fraction(1, 3),
+                 id="sums"),
+])
+def test_check_confluence_compares_values_not_their_derivations(x_y, u_z, s_z):
+    # The ambiguity x y z resolves to the same multiple of t both ways, by
+    # different arithmetic, so each value must have one representation.
+    rules = [
+        sh.RewriteRule(("x", "y"), x_y),
+        sh.RewriteRule(("y", "z"), ((("v",), Fraction(2, 3)),)),
+        sh.RewriteRule(("u", "z"), ((("t",), u_z),)),
+        sh.RewriteRule(("x", "v"), ((("t",), 1),)),
+    ]
+    if s_z is not None:
+        rules.append(sh.RewriteRule(("s", "z"), ((("t",), s_z),)))
+    alg = sh.AlgebraSpec(_trivial_alphabet("x", "y", "z", "u", "v", "s", "t"), rules,
+                         sh.RationalField())
+    assert sh.check_confluence(alg) == sh.Confluence(resolved=1, unresolved=None)
+    assert sh.normalize(alg, ("x", "y", "z")) == {("t",): Fraction(2, 3)}
 
 
 def test_check_confluence_validates_budget():

@@ -602,6 +602,54 @@ def test_wide_alphabet_out_of_name_order_matches_tuple_reference(field):
     assert report.missing
 
 
+@pytest.mark.parametrize("field", [sh.PrimeField(7), sh.RationalField()], ids=["F7", "Q"])
+def test_zero_bases_are_not_enumerated(monkeypatch, field):
+    # 136 of the wide algebra's letters rewrite to 0, and phase (ii) takes
+    # every letter as a base, so nearly all of its products are 0; at one
+    # time the graded check below made 19,768 normalize calls.  On a
+    # confluent presentation a product with a zero base is 0, so only the
+    # live bases are enumerated, and no report changes.
+    spec, (p, q, r, t) = _wide_algebra(field)
+    calls = []
+    normalize = sh.spanning.normalize
+    monkeypatch.setattr(sh.spanning, "normalize",
+                        lambda *args: calls.append(args[1]) or normalize(*args))
+    # Phase (i) normalizes the powers of S_e up to D = 2 letters and the 8
+    # identity-grade targets.  Phase (ii) takes the products of p, q, r and
+    # t of at most 2 letters (20 expansions; pp is a power of p) and the 18
+    # targets.
+    for S_e, products in (([(q,)], 2), ([(q,), (p, p)], 3)):
+        calls.clear()
+        report = sh.check_graded_theorem(spec, S_e, 1, 2, 2)
+        assert len(calls) == products + 8 + 20 + 18
+        with monkeypatch.context() as m:
+            m.setattr(sh.spanning, "_primitive_bases", lambda b: list(dict.fromkeys(b)))
+            m.setattr(sh.spanning, "_live_bases", lambda spec, b, D, budget: b)
+            assert sh.check_graded_theorem(spec, S_e, 1, 2, 2) == report
+        assert len(calls) > 19_000
+
+
+def test_zero_bases_stay_on_unconfluent_presentations():
+    # y -> 0 and x y -> u do not resolve x y, so y's normal form being 0
+    # says nothing of the products holding it: x . y normalizes to u.
+    alg = sh.AlgebraSpec(
+        sh.GradedAlphabet(sh.build_group(sh.cyclic(1)), [("x", 0), ("y", 0), ("u", 0)]),
+        [sh.RewriteRule(("y",), ()), sh.RewriteRule(("x", "y"), ((("u",), 1),))],
+    )
+    assert sh.normalize(alg, ("y",)) == {}
+    report = sh.is_shirshov_base(alg, [("x",), ("y",)], h=2, d=1, D=2)
+    assert report.confluent is False
+    assert report.witnessed and report.rank_joint == 3  # x, x x and u
+
+
+def test_base_exhausting_the_budget_is_kept():
+    # x y^20 takes 20 steps under x y -> y y x, so its test exhausts a budget
+    # of 10 and the base stays: its product then exhausts it too.
+    alg = _fixture_algebra()
+    with pytest.raises(sh.StepBudgetExceeded):
+        sh.is_shirshov_base(alg, [("x",) + ("y",) * 20], h=1, d=1, D=21, step_budget=10)
+
+
 def test_witnessed_graded_check_decodes_no_monomial(monkeypatch):
     # Normal forms stay interned from the rewriting engine to the echelon;
     # only reported missing monomials are decoded, one call each.
