@@ -30,7 +30,6 @@ __all__ = [
     "DecompositionReport",
     "prefix_products",
     "decompose_optimal",
-    "decompose_bruteforce",
     "verify_decomposition",
     "lemma_bound",
     "sequence_from_json",
@@ -39,7 +38,6 @@ __all__ = [
     "decomposition_to_json",
 ]
 
-ORACLE_LIMIT = 16
 # decompose_optimal takes the vectorized core from n >= _VECTOR_RATIO * |G|.
 _VECTOR_RATIO = 300
 
@@ -285,54 +283,6 @@ def _complement(intervals: Sequence[Interval], n: int) -> list[int]:
         nxt = max(nxt, iv.end + 1)
     out.extend(range(nxt, n + 1))
     return out
-
-
-def decompose_bruteforce(seq: GradeSequence) -> Decomposition:
-    """Exhaustive-search oracle over all non-overlapping interval sets (n <= 16)."""
-    n = len(seq)
-    if n > ORACLE_LIMIT:
-        raise ValueError(f"oracle limit exceeded: n={n} > {ORACLE_LIMIT}.")
-    m = seq.group.order
-    flat = memoryview(seq.group.cayley.ravel())
-    elems = tuple(seq.elems)
-    memo: dict[int, int] = {n + 1: 0}
-
-    def rec(i: int) -> int:
-        got = memo.get(i)
-        if got is not None:
-            return got
-        out = rec(i + 1)
-        acc = 0
-        for j in range(i, n + 1):
-            acc = flat[acc * m + elems[j - 1]]
-            if acc == 0:
-                cand = (j - i + 1) + rec(j + 1)
-                if cand > out:
-                    out = cand
-        memo[i] = out
-        return out
-
-    rec(1)
-    intervals: list[Interval] = []
-    i = 1
-    while i <= n:
-        target = rec(i)
-        if target == rec(i + 1):
-            i += 1
-            continue
-        acc = 0
-        for j in range(i, n + 1):
-            acc = flat[acc * m + elems[j - 1]]
-            if acc == 0 and (j - i + 1) + rec(j + 1) == target:
-                intervals.append(Interval(i, j))
-                i = j + 1
-                break
-    coverage = sum(iv.length for iv in intervals)
-    return Decomposition(
-        intervals=tuple(intervals),
-        uncovered=tuple(_complement(intervals, n)),
-        coverage=coverage,
-    )
 
 
 def verify_decomposition(seq: GradeSequence, dec: Decomposition) -> DecompositionReport:

@@ -5,10 +5,11 @@ word (the left-hand side) to a linear combination of words.  normalize()
 repeatedly replaces the leftmost occurrence of a longest-matching left-hand
 side in each monomial and collects like terms, e.g. under the single rule
 "x y" -> "y y x" the word "x x y" normalizes to "y y y y x x".  Monomials are
-held as bytes over interned symbols and redexes are found by one compiled
-regular expression.  check_confluence() certifies, by Bergman's diamond
-lemma, that the normal form does not depend on the rewriting strategy; only
-then may normalize() reuse suffix normal forms through a SuffixChain.
+held as interned strings, one code point per symbol, and redexes are found
+by one compiled regular expression.  check_confluence() certifies, by
+Bergman's diamond lemma, that the normal form does not depend on the
+rewriting strategy; only then may normalize() reuse suffix normal forms
+through a SuffixChain.
 Termination of the presentation is the caller's assertion; a step budget
 turns runaway presentations into an error instead of a hang.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -58,6 +60,9 @@ __all__ = [
 
 DEFAULT_PRIME = 1000003
 DEFAULT_STEP_BUDGET = 100_000
+# A suffix chain holds, and a spanning check's echelon takes in, at most
+# NF_LETTER_CAP letters of normal forms; past it they raise ValueError.
+NF_LETTER_CAP = 100_000_000
 
 # A linear combination maps monomial words to nonzero field coefficients.
 LinComb = dict
@@ -273,14 +278,6 @@ class RewriteRule:
                 )
 
 
-def _code(i: int) -> bytes:
-    # Symbol i is interned as the UTF-8 encoding of chr(i).  UTF-8 is
-    # self-synchronizing: no code's first byte occurs inside another code, so
-    # a byte-level match of whole codes starts and ends on symbol boundaries
-    # whatever the alphabet size.
-    return chr(i).encode("utf-8", "surrogatepass")
-
-
 def _exhausted(budget: int) -> StepBudgetExceeded:
     return StepBudgetExceeded(
         f"step budget {budget} exhausted while rewriting; "
@@ -328,39 +325,33 @@ class AlgebraSpec:
         self.rules = rules
         self.field = field
         self._ring = field._ring
-        # Symbols are interned in sorted name order, so code-point order on
-        # interned words is tuple order on symbol words.
+        # Symbol i in sorted name order is interned as chr(i), so code-point
+        # order on interned words is tuple order on symbol words.
         symbols = sorted(alphabet.symbols)
-        self._enc = {sym: _code(i) for i, sym in enumerate(symbols)}
+        self._enc = {sym: chr(i) for i, sym in enumerate(symbols)}
         self._dec = {chr(i): sym for i, sym in enumerate(symbols)}
         # Redexes are found by one alternation of the distinct lhs words,
         # longest first and in listing order among equal lengths, so Python's
         # leftmost-first alternation finds the leftmost occurrence of a
-        # longest lhs, the earlier rule winning ties.  Two lhs words that
-        # match at one position are prefix-related, so byte length orders
-        # them as symbol length does.  Each lhs maps to its rhs terms as
+        # longest lhs, the earlier rule winning ties.  Each lhs is a group,
+        # so a match's lastindex picks its rhs terms from _rhss, as
         # (interned word, ring coefficient) pairs.
-        self._actions: dict[bytes, tuple] = {}
-        for idx in sorted(
-            range(len(rules)), key=lambda i: (-len(self._encode(rules[i].lhs)), i)
-        ):
-            self._actions.setdefault(self._encode(rules[idx].lhs), self._lift(rules[idx].rhs))
+        actions: dict[str, tuple] = {}
+        for idx in sorted(range(len(rules)), key=lambda i: (-len(rules[i].lhs), i)):
+            actions.setdefault(self._encode(rules[idx].lhs), self._lift(rules[idx].rhs))
         self._redex = re.compile(
-            b"|".join(map(re.escape, self._actions)) if rules else b"(?!)"
+            "|".join(f"({re.escape(lhs)})" for lhs in actions) if rules else "(?!)"
         )
-        # A rewrite at byte pos can only create lhs occurrences starting at
+        self._rhss = (None, *actions.values())
+        # A rewrite at pos can only create lhs occurrences starting at
         # pos - _back or later; re clamps a negative start to 0.
-        self._back = max(map(len, self._actions), default=1) - 1
+        self._back = max(map(len, actions), default=1) - 1
         self._confluence: dict[int, Confluence] = {}
 
-    def _encode(self, word: Sequence[str]) -> bytes:
+    def _encode(self, word: Sequence[str]) -> str:
         """The interned form of a word; raises ValueError on unknown symbols."""
-        return b"".join(self._codes(word))
-
-    def _codes(self, word: Sequence[str]) -> list[bytes]:
-        enc = self._enc
         try:
-            return [enc[sym] for sym in word]
+            return "".join(map(self._enc.__getitem__, word))
         except KeyError:
             for sym in word:
                 self.alphabet.grade(sym)
@@ -373,42 +364,44 @@ class AlgebraSpec:
         lift = self._ring.lift
         return tuple((self._encode(rword), lift(coef)) for rword, coef in rhs)
 
-    def _export(self, form: dict, key) -> LinComb:
-        """A form from the engine with key applied to each interned monomial
-        and each ring value made a field value."""
+    def _export(self, form: dict) -> LinComb:
+        """A form from the engine, its monomials interned and its ring values
+        made field values, in a dict of its own."""
         if self._ring is self.field:
-            return {key(mono): coef for mono, coef in form.items()}
+            return dict(form)
         value = self._ring.value
-        return {key(mono): value(coef) for mono, coef in form.items()}
+        return {mono: value(coef) for mono, coef in form.items()}
 
-    def _decode(self, comb: dict) -> LinComb:
+    def _decode(self, form: dict) -> LinComb:
         """Decode interned monomials to tuples and ring values to field values."""
-        return self._export(comb, lambda mono: self._word(_interned(mono)))
+        word = self._word
+        return {word(mono): coef for mono, coef in self._export(form).items()}
 
     def _word(self, interned: str) -> Word:
         """The symbols of an interned word, one code point per symbol."""
         return tuple(map(self._dec.__getitem__, interned))
 
 
-def _interned(mono: bytes) -> str:
-    # An interned word as a string: code point i stands for the i-th symbol in
-    # sorted name order.
-    return mono.decode("utf-8", "surrogatepass")
+@lru_cache(maxsize=256)
+def _copies(block: str):
+    """The anchored match of (?:block)*: from a position, it spans the copies
+    of block that follow one another there."""
+    return re.compile(f"(?:{re.escape(block)})*").match
 
 
-def _splice_run(buf: bytearray, start: int, o: int, pos: int, end: int,
-                rword: bytes, back: int) -> int:
+def _splice_run(state: str, start: int, o: int, pos: int, end: int,
+                rword: str, back: int) -> tuple[int, str]:
     """Take the step at hand, with every repeat of it, in one splice.
 
-    The scan state is buf[start:] (start >= 0).  The step rewrites it at
-    offset o >= back, and the next search starts e = o - back bytes in; the
-    match read only the state's first o + back + 1 bytes.  If the new state
-    is the old one with the q > 0 bytes Q at offset u removed, then while
-    another copy of Q follows, the next state agrees with this one on those
-    bytes, so the same step fires again and again emits the same e bytes on
-    the left.  The 1 + R steps that delete Q and its R further copies become
-    one splice.  Returns the number of steps taken: 1 when the step is not
-    of that kind.
+    The scan state is state[start:] (start >= 0).  The step rewrites it at
+    offset o >= back, and the next search starts e = o - back symbols in;
+    the match read only the state's first o + back + 1 symbols.  If the new
+    state is the old one with the q > 0 symbols Q at offset u removed, then
+    while another copy of Q follows, the next state agrees with this one on
+    those symbols, so the same step fires again and again emits the same e
+    symbols on the left.  The 1 + R steps that delete Q and its R further
+    copies become one splice.  Returns the number of steps taken, 1 when the
+    step is not of that kind, and the new state.
     """
     e = o - back
     r = len(rword)
@@ -416,27 +409,16 @@ def _splice_run(buf: bytearray, start: int, o: int, pos: int, end: int,
     u = max(back + r, o + back + 1 - q)
     at = start + u
     # Past offset back + r the new state is the old one shifted by q, so it
-    # remains to compare the first u bytes.  A state shorter than u + q bytes
-    # fails here, since the new one is then shorter than u.
+    # remains to compare the first u symbols.  A state shorter than u + q
+    # symbols fails here, since the new one is then shorter than u.
     if q <= 0 or (
-        buf[pos - back : pos] + rword + buf[end : end + u - back - r] != buf[start:at]
+        state[pos - back : pos] + rword + state[end : end + u - back - r] != state[start:at]
     ):
-        buf[pos:end] = rword
-        return 1
-    # Count the copies of Q by galloping: double the probe while it matches,
-    # then halve it back down to one block.
-    block = bytes(buf[at : at + q])
-    p, n, k = at + q, 1, 1
-    while buf.startswith(block, p):
-        p, n, k = p + k * q, n + k, 2 * k
-        block += block
-    while k > 1:
-        k //= 2
-        block = block[: k * q]
-        if buf.startswith(block, p):
-            p, n = p + k * q, n + k
-    buf[start:p] = buf[start : pos - back] * n + buf[start:at]
-    return n
+        return 1, "".join((state[:pos], rword, state[end:]))
+    # Q and its copies end where one anchored match of (?:Q)* ends.
+    p = _copies(state[at : at + q])(state, at).end()
+    n = (p - at) // q
+    return n, "".join((state[:start], state[start : pos - back] * n, state[start:at], state[p:]))
 
 
 def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple[dict, int]:
@@ -455,21 +437,20 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
     ring = spec._ring
     mul, add, is_zero, zero = ring.mul, ring.add, ring.is_zero, ring.zero
     search = spec._redex.search
-    actions = spec._actions
+    rhss = spec._rhss
     back = spec._back
     out: dict = {}
     while pending:
         mono, (coef, hint) = pending.popitem()
         m = search(mono, hint)
         if m is not None:
-            rhs = actions[m.group()]
+            rhs = rhss[m.lastindex]
             if len(rhs) == 1:
-                # Single-term rules keep a single monomial, so splice them in
-                # place; only branching rules need to fork.  start is where the
-                # search that found m began (re reads a negative start as 0).
-                # A step that repeats the previous step's action at the same
-                # offset from start is tested for a periodic run.
-                buf = bytearray(mono)
+                # Single-term rules keep a single monomial, so splice them one
+                # after another; only branching rules need to fork.  start is
+                # where the search that found m began (re reads a negative
+                # start as 0).  A step that repeats the previous step's action
+                # at the same offset from start is tested for a periodic run.
                 start = hint
                 last = -1
                 prev = None
@@ -478,7 +459,7 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
                     rword, rcoef = rhs[0]
                     o = pos - start
                     if o == last and o >= back and start >= 0 and rhs is prev:
-                        n = _splice_run(buf, start, o, pos, end, rword, back)
+                        n, mono = _splice_run(mono, start, o, pos, end, rword, back)
                         steps += n
                         if steps > budget:
                             raise _exhausted(budget)
@@ -490,16 +471,15 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
                         steps += 1
                         if steps > budget:
                             raise _exhausted(budget)
-                        buf[pos:end] = rword
+                        mono = "".join((mono[:pos], rword, mono[end:]))
                         start = pos - back
                         coef = mul(coef, rcoef)
-                    m = search(buf, start)
+                    m = search(mono, start)
                     if m is None:
                         break
-                    rhs = actions[m.group()]
+                    rhs = rhss[m.lastindex]
                     if len(rhs) != 1:
                         break
-                mono = bytes(buf)
         if m is None:
             acc = add(out.get(mono, zero), coef)
             if is_zero(acc):
@@ -628,45 +608,54 @@ class SuffixChain:
     Pass one chain to normalize(..., memo=chain) over a run of words: each
     word then reuses the normal form of the longest suffix it shares with the
     word before, which is what ordering the run by reversed word maximizes.
-    The chain holds one word's suffixes at a time.  normalize() returns the
-    monomials of a call given a chain as interned strings, one code point per
-    symbol (code point i is the i-th symbol in sorted name order), so that
-    deglex order on them is (length, string).
+    The chain holds one word's suffixes at a time, and raises ValueError
+    when their normal forms pass NF_LETTER_CAP letters.  normalize() returns
+    the monomials of a call given a chain as interned strings, one code point
+    per symbol (code point i is the i-th symbol in sorted name order), so
+    that deglex order on them is (length, string).
     """
 
     __slots__ = ("_spec", "_word", "_forms")
 
     def __init__(self):
         self._spec: Optional[AlgebraSpec] = None
-        self._word: Word = ()
-        # _forms[k] = (normal form of the last k letters, steps to fold it),
-        # its coefficients in the spec's working ring.
-        self._forms: list[tuple[dict, int]] = []
+        self._word = ""  # the last word folded, interned
+        # _forms[k] = (normal form of the last k letters, steps to fold it,
+        # letters in the forms of the last 0 .. k letters), its coefficients
+        # in the spec's working ring.
+        self._forms: list[tuple[dict, int, int]] = []
 
-    def _fold(self, spec: AlgebraSpec, word: Word, codes: list[bytes], budget: int) -> dict:
+    def _fold(self, spec: AlgebraSpec, word: str, budget: int) -> dict:
         # Under a confluent presentation nf(a v) = nf(a nf(v)), so fold the
-        # word from the right.  Each form carries its cumulative step count,
-        # charged whenever it is reused, so the steps charged for a word, and
-        # whether it exhausts the budget, do not depend on what the chain
-        # already holds.
+        # interned word from the right.  Each form carries its cumulative
+        # step count, charged whenever it is reused, so the steps charged for
+        # a word, and whether it exhausts the budget, do not depend on what
+        # the chain already holds.
         if self._spec is not spec:
-            self._spec, self._word = spec, ()
-            self._forms = [({b"": spec._ring.one}, 0)]
+            self._spec, self._word = spec, ""
+            self._forms = [({"": spec._ring.one}, 0, 0)]
         prev, forms = self._word, self._forms
         n = len(word)
-        shared = 0
-        limit = min(n, len(prev), len(forms) - 1)
-        while shared < limit and word[n - 1 - shared] == prev[-1 - shared]:
-            shared += 1
+        shared = min(n, len(prev), len(forms) - 1)
+        # In reversed-word order a word often ends with the whole word
+        # before it, which one slice comparison settles.
+        if word[n - shared :] != prev[len(prev) - shared :]:
+            shared = 0
+            while word[n - 1 - shared] == prev[-1 - shared]:
+                shared += 1
         del forms[shared + 1 :]
         self._word = word
-        form, steps = forms[shared]
+        form, steps, letters = forms[shared]
         if steps > budget:
             raise _exhausted(budget)
-        for head in reversed(codes[: n - shared]):
+        for head in reversed(word[: n - shared]):
             pending = {head + mono: [coef, 0] for mono, coef in form.items()}
             form, steps = _rewrite(spec, pending, steps, budget)
-            forms.append((form, steps))
+            letters += sum(map(len, form))
+            if letters > NF_LETTER_CAP:
+                raise ValueError(f"normal forms too large: more than {NF_LETTER_CAP} "
+                                 "letters in a suffix chain.")
+            forms.append((form, steps, letters))
         return form
 
 
@@ -689,18 +678,13 @@ def normalize(
     """
     budget = _check_budget(step_budget)
     w = tuple(word)
-    codes = spec._codes(w)
+    mono = spec._encode(w)
     if not spec.rules:
-        if memo is None:
-            return {w: spec.field.one}
-        form = {b"".join(codes): spec._ring.one}
-    elif memo is not None and check_confluence(spec, budget).confluent:
-        form = memo._fold(spec, w, codes, budget)
-    else:
-        form = _rewrite(spec, {b"".join(codes): [spec._ring.one, 0]}, 0, budget)[0]
-    if memo is None:
-        return spec._decode(form)
-    return spec._export(form, _interned)
+        return {w if memo is None else mono: spec.field.one}
+    if memo is not None and check_confluence(spec, budget).confluent:
+        return spec._export(memo._fold(spec, mono, budget))
+    form = _rewrite(spec, {mono: [spec._ring.one, 0]}, 0, budget)[0]
+    return spec._decode(form) if memo is None else spec._export(form)
 
 
 def algebra_from_json(obj: object) -> AlgebraSpec:

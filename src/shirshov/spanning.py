@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rewriting import (
+    NF_LETTER_CAP,
     AlgebraSpec,
     LinComb,
     PrimeField,
@@ -277,13 +278,16 @@ class RowEchelon:
 
     Rows are {monomial: coefficient} maps.  Over F_p pivots are stored monic;
     over the rationals rows are cleared to primitive integer vectors and
-    combined fraction-free, so no divisions ever happen.
+    combined fraction-free, so no divisions ever happen.  The pivots hold at
+    most NF_LETTER_CAP letters in their monomials; a row that would pass it
+    raises ValueError.
     """
 
     def __init__(self, field):
         self.field = field
         self._modp = isinstance(field, PrimeField)
         self._pivots: dict[Word, dict] = {}
+        self._letters = 0
 
     @property
     def rank(self) -> int:
@@ -348,6 +352,10 @@ class RowEchelon:
                 res = {w: c * factor % p for w, c in res.items()}
         elif top < 0:
             res = {w: -c for w, c in res.items()}
+        self._letters += sum(map(len, res))
+        if self._letters > NF_LETTER_CAP:
+            raise ValueError(f"normal forms too large: more than {NF_LETTER_CAP} "
+                             "letters in the echelon's rows.")
         self._pivots[lead] = res
         return True
 

@@ -11,6 +11,7 @@ import time
 
 import shirshov as sh
 from shirshov.cli import main
+from test_intervals import decompose_bruteforce
 
 
 def _line(num, label, ok, dt, limit=None):
@@ -78,7 +79,7 @@ def test_criterion_3_oracle_equivalence():
             for elems in itertools.product(range(order), repeat=n):
                 seq = sh.GradeSequence(group, elems)
                 if sh.decompose_optimal(seq).coverage != \
-                        sh.decompose_bruteforce(seq).coverage:
+                        decompose_bruteforce(seq).coverage:
                     mismatches += 1
     group = sh.build_group(sh.symmetric(3))
     rng = random.Random(303)
@@ -86,7 +87,7 @@ def test_criterion_3_oracle_equivalence():
         n = rng.randrange(0, 11)
         seq = sh.GradeSequence(group, [rng.randrange(6) for _ in range(n)])
         if sh.decompose_optimal(seq).coverage != \
-                sh.decompose_bruteforce(seq).coverage:
+                decompose_bruteforce(seq).coverage:
             mismatches += 1
     dt = time.perf_counter() - t0
     ok = mismatches == 0 and dt < 120.0

@@ -606,6 +606,25 @@ def test_letter_blowup_exits_two_under_memory_limit(payload, message):
     assert "Traceback" not in proc.stderr
 
 
+def test_normal_form_blowup_exits_two_under_memory_limit():
+    # A 1.2 GB address-space limit, as under `ulimit -v 1200000`.  Under
+    # x y -> y y x the graded check at d = 12 would hold about 1.9 G letters
+    # in its echelon's pivots; the letter cap stops it at 10^8.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_200_000 * 1024,) * 2)
+
+    payload = json.dumps({"algebra": FIXTURE_ALGEBRA, "base": [["y"], ["x", "x"]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "shirshov.cli", "verify-base", "--graded", "--h", "2",
+         "--d", "12", "--steps", "1000000000", "--json", payload],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: normal forms too large: more than 100000000 letters "
+                           "in the echelon's rows.\n")
+
+
 def test_verify_base_caps_count_the_primitive_bases(capsys):
     # x^2 .. x^6 are powers of x and add no product, so the letter cap that
     # all six bases would exceed is not reached.

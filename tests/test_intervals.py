@@ -8,11 +8,70 @@ import numpy as np
 import pytest
 
 import shirshov as sh
-from shirshov.intervals import ORACLE_LIMIT, _VECTOR_RATIO, Interval, _optimal_core_vector
+from shirshov.intervals import (
+    _VECTOR_RATIO,
+    Decomposition,
+    Interval,
+    _complement,
+    _optimal_core_vector,
+)
 
 
 def _seq(spec, elems):
     return sh.GradeSequence(sh.build_group(spec), elems)
+
+
+# An exponential oracle for decompose_optimal at small sizes: the best
+# coverage of positions i..n, by exhaustive search over the first interval.
+ORACLE_LIMIT = 16
+
+
+def decompose_bruteforce(seq: sh.GradeSequence) -> Decomposition:
+    """Exhaustive-search oracle over all non-overlapping interval sets (n <= 16)."""
+    n = len(seq)
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"oracle limit exceeded: n={n} > {ORACLE_LIMIT}.")
+    m = seq.group.order
+    flat = memoryview(seq.group.cayley.ravel())
+    elems = tuple(seq.elems)
+    memo: dict[int, int] = {n + 1: 0}
+
+    def rec(i: int) -> int:
+        got = memo.get(i)
+        if got is not None:
+            return got
+        out = rec(i + 1)
+        acc = 0
+        for j in range(i, n + 1):
+            acc = flat[acc * m + elems[j - 1]]
+            if acc == 0:
+                cand = (j - i + 1) + rec(j + 1)
+                if cand > out:
+                    out = cand
+        memo[i] = out
+        return out
+
+    rec(1)
+    intervals: list[Interval] = []
+    i = 1
+    while i <= n:
+        target = rec(i)
+        if target == rec(i + 1):
+            i += 1
+            continue
+        acc = 0
+        for j in range(i, n + 1):
+            acc = flat[acc * m + elems[j - 1]]
+            if acc == 0 and (j - i + 1) + rec(j + 1) == target:
+                intervals.append(Interval(i, j))
+                i = j + 1
+                break
+    coverage = sum(iv.length for iv in intervals)
+    return Decomposition(
+        intervals=tuple(intervals),
+        uncovered=tuple(_complement(intervals, n)),
+        coverage=coverage,
+    )
 
 
 # An independent oracle for decompose_optimal's cores: the same phi
@@ -147,16 +206,16 @@ def test_decompose_optimal_empty():
 
 
 def test_decompose_bruteforce_examples():
-    assert sh.decompose_bruteforce(_seq(sh.cyclic(2), [1, 1, 1, 0])).coverage == 3
-    assert sh.decompose_bruteforce(_seq(sh.cyclic(2), [1])).coverage == 0
-    dec = sh.decompose_bruteforce(_seq(sh.cyclic(3), [1, 2, 1, 2]))
+    assert decompose_bruteforce(_seq(sh.cyclic(2), [1, 1, 1, 0])).coverage == 3
+    assert decompose_bruteforce(_seq(sh.cyclic(2), [1])).coverage == 0
+    dec = decompose_bruteforce(_seq(sh.cyclic(3), [1, 2, 1, 2]))
     assert dec.coverage == 4
     assert dec.intervals == (sh.Interval(1, 2), sh.Interval(3, 4))
 
 
 def test_bruteforce_rejects_large_input():
     with pytest.raises(ValueError, match="oracle limit exceeded"):
-        sh.decompose_bruteforce(_seq(sh.cyclic(2), [0] * 17))
+        decompose_bruteforce(_seq(sh.cyclic(2), [0] * 17))
 
 
 def test_sequence_validates_elements():
@@ -169,7 +228,7 @@ def test_oracle_equivalence_small_exhaustive():
     for n in range(7):
         for elems in itertools.product(range(2), repeat=n):
             seq = sh.GradeSequence(group, list(elems))
-            coverage = sh.decompose_bruteforce(seq).coverage
+            coverage = decompose_bruteforce(seq).coverage
             assert sh.decompose_optimal(seq).coverage == coverage
             assert _optimal_core_vector(sh.prefix_products(seq), 2)[1] == coverage
 
@@ -180,7 +239,7 @@ def test_oracle_equivalence_random_nonabelian():
     for _ in range(100):
         n = rng.randrange(0, ORACLE_LIMIT + 1)
         seq = sh.GradeSequence(group, [rng.randrange(6) for _ in range(n)])
-        coverage = sh.decompose_bruteforce(seq).coverage
+        coverage = decompose_bruteforce(seq).coverage
         assert sh.decompose_optimal(seq).coverage == coverage
         assert _optimal_core_vector(sh.prefix_products(seq), 6)[1] == coverage
 

@@ -1,5 +1,6 @@
 """String rewriting to normal forms over exact coefficient fields."""
 
+import functools
 import itertools
 import math
 import random
@@ -496,16 +497,25 @@ def _pingpong_algebra():
 
 
 # Symbols are interned in sorted name order, so symbol i of the sorted names
-# gets code i.  These take one, two and three UTF-8 bytes, with neighbours
-# across each boundary; the alphabet lists them far from those positions.
-_WIDE_NAMES = sorted(f"s{i}" for i in range(2100))
-_WIDE = [_WIDE_NAMES[i] for i in (0, 1, 126, 127, 128, 129, 255, 256, 2046, 2047, 2048, 2049)]
+# gets code point i.  A str stores code points below 256 in one byte, below
+# 65536 in two and the rest in four: these codes sit on both sides of each
+# width boundary, and one, 0xD800, is a surrogate.  The alphabet lists them
+# far from those positions.
+_WIDE_SIZE = 65600
+_WIDE_NAMES = sorted(f"s{i}" for i in range(_WIDE_SIZE))
+_WIDE = [_WIDE_NAMES[i] for i in (0, 1, 126, 127, 128, 129, 255, 256, 2046, 2047, 2048, 2049,
+                                  0xD800, 65535, 65536)]
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_symbols(alphabet):
+    return sorted(alphabet.symbols)
 
 
 def _interned_word(alg, word):
     # The documented contract: code point i is the i-th symbol in sorted
     # name order.
-    symbols = sorted(alg.alphabet.symbols)
+    symbols = _sorted_symbols(alg.alphabet)
     return tuple(symbols[ord(c)] for c in word)
 
 
@@ -516,11 +526,11 @@ def _decoded(alg, form):
 
 
 def _wide_algebra():
-    # 2100 symbols; rules only among _WIDE, each lhs above its rhs monomials
-    # in deglex order, so the presentation terminates: commuting swaps, a
-    # longest-match rule and a forking rule.  It presents a commutative
-    # algebra whose two relations have coprime leading monomials, so it is
-    # confluent.
+    # _WIDE_SIZE symbols; rules only among _WIDE, each lhs above its rhs
+    # monomials in deglex order, so the presentation terminates: commuting
+    # swaps, a longest-match rule and a forking rule.  It presents a
+    # commutative algebra whose two relations have coprime leading
+    # monomials, so it is confluent.
     w = _WIDE
     Q = sh.RationalField()
     rules = [
@@ -531,7 +541,7 @@ def _wide_algebra():
     rules.append(sh.RewriteRule(
         lhs=(w[7], w[7]), rhs=(((w[2], w[9]), Fraction(-1, 2)), ((w[11],), Q.one))
     ))
-    return sh.AlgebraSpec(_trivial_alphabet(*(f"s{i}" for i in range(2100))), rules, Q)
+    return sh.AlgebraSpec(_trivial_alphabet(*(f"s{i}" for i in range(_WIDE_SIZE))), rules, Q)
 
 
 def _random_words(rng, letters, count, longest):
@@ -569,6 +579,43 @@ def test_engine_matches_naive_rewriter(make, letters, longest, budget):
             assert sh.normalize(alg, word, step_budget=steps) == expect
             with pytest.raises(sh.StepBudgetExceeded):
                 sh.normalize(alg, word, step_budget=steps - 1)
+
+
+def _naive_side(alg, word, pos, rule, budget):
+    """The naive normal form of word after rule rewrites it at pos."""
+    field, out = alg.field, {}
+    for rword, rcoef in rule.rhs:
+        nf, _ = _naive_normalize(alg, word[:pos] + rword + word[pos + len(rule.lhs) :], budget)
+        for mono, coef in nf.items():
+            acc = field.add(out.pop(mono, field.zero), field.mul(rcoef, coef))
+            if not field.is_zero(acc):
+                out[mono] = acc
+    return out
+
+
+def test_wide_codes_agree_with_naive_rewriter_on_every_path():
+    # Words over codes on both sides of each str width boundary, the
+    # surrogate included: the direct and chain paths give the naive
+    # rewriter's normal form, the chain's monomials carry those code points,
+    # and every ambiguity check_confluence resolves agrees under the naive
+    # rewriter.
+    alg = _wide_algebra()
+    rng = random.Random(5)
+    chain = sh.SuffixChain()
+    codes = set()
+    for word in sorted(_random_words(rng, _WIDE, 150, 8), key=lambda w: w[::-1]):
+        expect, _ = _naive_normalize(alg, word, 10**6)
+        assert sh.normalize(alg, word) == expect
+        got = sh.normalize(alg, word, memo=chain)
+        assert _decoded(alg, got) == expect
+        codes.update(ord(c) for mono in got for c in mono)
+    assert {255, 256, 0xD800, 65535, 65536} <= codes
+    cert = sh.check_confluence(alg)
+    ambiguities = list(rewriting._ambiguities(alg.rules))
+    assert cert == sh.Confluence(resolved=len(ambiguities), unresolved=None)
+    for _, i, j, word, pos in ambiguities:
+        left = _naive_side(alg, word, 0, alg.rules[i], 10**6)
+        assert left == _naive_side(alg, word, pos, alg.rules[j], 10**6), word
 
 
 def _decreasing_presentation(rng, alpha, field):
@@ -742,6 +789,27 @@ def test_warm_chain_charges_a_cached_word_against_a_smaller_budget():
         sh.normalize(alg, word, 5, chain)
 
 
+def test_chain_letter_cap_counts_every_held_form(monkeypatch):
+    # nf(x^k y) = y^(2^k) x^k, so folding x^a y leaves the chain holding the
+    # forms of x^k y for k = 0 .. a: 2^(a+1) - 1 + a(a+1)/2 letters in all,
+    # the forms it reused from a warm chain included.
+    alg = _fixture_algebra()
+    a = 10
+    word = ("x",) * a + ("y",)
+    held = 2 ** (a + 1) - 1 + a * (a + 1) // 2
+    expect = {("y",) * 2**a + ("x",) * a: 1}
+    monkeypatch.setattr(rewriting, "NF_LETTER_CAP", held)
+    assert _decoded(alg, sh.normalize(alg, word, memo=sh.SuffixChain())) == expect
+    monkeypatch.setattr(rewriting, "NF_LETTER_CAP", held - 1)
+    warm = sh.SuffixChain()
+    sh.normalize(alg, word[1:], memo=warm)
+    for memo in (sh.SuffixChain(), warm):
+        with pytest.raises(ValueError, match=f"more than {held - 1} letters in a suffix chain"):
+            sh.normalize(alg, word, memo=memo)
+    # A whole-word rewrite keeps no forms.
+    assert sh.normalize(alg, word) == expect
+
+
 def test_memo_ignored_on_uncertified_presentation():
     # Folding "x y z" from the right would give "x v"; the leftmost-longest
     # strategy gives "u z", and stays in force when the chain is passed.
@@ -763,10 +831,10 @@ def runs(monkeypatch):
     splice_run = rewriting._splice_run
 
     def counted(*args):
-        n = splice_run(*args)
+        n, state = splice_run(*args)
         if n > 1:
             seen.append(n)
-        return n
+        return n, state
 
     monkeypatch.setattr(rewriting, "_splice_run", counted)
     return seen
@@ -811,14 +879,14 @@ def _periodic_words(rng, alg, letters):
 @pytest.mark.parametrize("field, size, letters", [
     pytest.param(sh.PrimeField(7), 3, (0, 1, 2), id="F7"),
     pytest.param(sh.RationalField(), 3, (0, 1, 2), id="Q"),
-    pytest.param(sh.PrimeField(7), 200, (1, 130, 131, 199), id="F7-wide"),
-    pytest.param(sh.RationalField(), 200, (128, 150, 170, 199), id="Q-wide"),
+    pytest.param(sh.PrimeField(7), 300, (1, 130, 255, 256), id="F7-wide"),
+    pytest.param(sh.RationalField(), 300, (128, 255, 256, 299), id="Q-wide"),
 ])
 def test_periodic_runs_match_naive_rewriter(runs, field, size, letters):
     # A run of identical steps taken in one splice gives the normal form, the
     # step count and the budget verdict of one step at a time.  letters are
-    # codes, that is positions in name order; over 200 symbols codes 128 and
-    # up take two bytes.
+    # codes, that is positions in name order; a str holding a code of 256 or
+    # more stores two bytes per code point.
     alpha = _trivial_alphabet(*(f"s{i}" for i in range(size)))
     letters = [sorted(alpha.symbols)[i] for i in letters]
     rng = random.Random(11)
@@ -875,6 +943,42 @@ def test_budget_runs_out_inside_a_periodic_run(runs):
         sh.normalize(alg, word, 25)
     assert len(runs) == 1 and runs[0] > 25
     assert sh.normalize(alg, word, 50) == {("y",) * 100 + ("x",): 1}
+
+
+@pytest.mark.parametrize("codes", [
+    pytest.param((0, 1, 2, 3), id="narrow"),
+    pytest.param((1, 0xD800, 65536, 255), id="wide"),
+])
+@pytest.mark.parametrize("rhs", ["abx", "abbx"], ids=["moves", "grows"])
+def test_periodic_run_of_a_two_letter_block_stops_inside_a_copy(monkeypatch, codes, rhs):
+    # x a b -> rhs moves x through (a b)^K one copy per step, so the block Q
+    # of the run is "a b" (q = 2).  The word ends in a c, the first letter of
+    # a copy and then another, where one anchored match of (?:a b)* stops.
+    # After two single steps the other K - 2 steps are one splice, and every
+    # step is charged.
+    seen = []
+    splice_run = rewriting._splice_run
+
+    def counted(state, start, o, pos, end, rword, back):
+        n, new = splice_run(state, start, o, pos, end, rword, back)
+        seen.append((n, o - back + end - pos - len(rword)))
+        return n, new
+
+    monkeypatch.setattr(rewriting, "_splice_run", counted)
+    symbol = dict(zip("xabc", (_WIDE_NAMES[i] for i in codes)))
+    alg = sh.AlgebraSpec(
+        _trivial_alphabet(*(f"s{i}" for i in range(_WIDE_SIZE))),
+        [sh.RewriteRule(tuple(map(symbol.get, "xab")), ((tuple(map(symbol.get, rhs)), 1),))],
+    )
+    for K in (3, 4, 7, 40):
+        word = tuple(map(symbol.get, "x" + "ab" * K + "ac"))
+        expect, steps = _naive_normalize(alg, word, 10**6)
+        assert steps == K
+        seen.clear()
+        assert sh.normalize(alg, word, steps) == expect
+        assert seen == [(K - 2, 2)]
+        with pytest.raises(sh.StepBudgetExceeded):
+            sh.normalize(alg, word, steps - 1)
 
 
 def test_long_closed_form_words_take_exact_steps_quickly():

@@ -526,8 +526,8 @@ def test_step_budget_propagates():
 
 def _wide_algebra(field):
     # 140 symbols listed against name order; all but the last four in name
-    # order rewrite to 0, so the targets are words in those four.  Their
-    # codes (positions in name order) take two UTF-8 bytes.  The two rules
+    # order rewrite to 0, so the targets are words in those four, whose codes
+    # (positions in name order) are 136 to 139.  The two rules
     # have two-term right-hand sides, so residuals have several terms and
     # their leading monomials depend on the monomial order.
     names = sorted((f"g{i}" for i in range(140)), reverse=True)
@@ -668,6 +668,23 @@ def test_witnessed_graded_check_decodes_no_monomial(monkeypatch):
     report = sh.is_shirshov_base(_free_algebra(), [("y",), ("x", "x")], h=2, d=3)
     assert not report.witnessed
     assert calls == ["_word"] * len(report.missing)
+
+
+@pytest.mark.parametrize("check, letters, ranks", [
+    # Phase (ii)'s pivots hold the most letters of the two phases.
+    pytest.param(sh.check_graded_theorem, 4_041_462, (3414, 3414), id="graded"),
+    pytest.param(sh.is_shirshov_base, 127_288, (133, 153), id="base"),
+])
+def test_echelon_letter_cap_pinned_on_the_fixture(monkeypatch, check, letters, ranks):
+    # At d = 8 the pivots of the fixture's check on {y, xx} hold exactly
+    # these letters: a cap of that many passes, one less raises.
+    args = (_fixture_algebra(), [("y",), ("x", "x")])
+    monkeypatch.setattr(sh.spanning, "NF_LETTER_CAP", letters)
+    report = check(*args, h=2, d=8, D=16)
+    assert (report.rank_products, report.rank_joint) == ranks
+    monkeypatch.setattr(sh.spanning, "NF_LETTER_CAP", letters - 1)
+    with pytest.raises(ValueError, match=f"more than {letters - 1} letters in the echelon's rows"):
+        check(*args, h=2, d=8, D=16)
 
 
 # ------------------------------------------------------- check_graded_theorem
