@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import rewriting
 from .rewriting import (
-    NF_LETTER_CAP,
     AlgebraSpec,
     LinComb,
     PrimeField,
@@ -279,8 +279,8 @@ class RowEchelon:
     Rows are {monomial: coefficient} maps.  Over F_p pivots are stored monic;
     over the rationals rows are cleared to primitive integer vectors and
     combined fraction-free, so no divisions ever happen.  The pivots hold at
-    most NF_LETTER_CAP letters in their monomials; a row that would pass it
-    raises ValueError.
+    most rewriting.NF_LETTER_CAP letters in their monomials; a row that would
+    pass it raises ValueError.
     """
 
     def __init__(self, field):
@@ -353,8 +353,8 @@ class RowEchelon:
         elif top < 0:
             res = {w: -c for w, c in res.items()}
         self._letters += sum(map(len, res))
-        if self._letters > NF_LETTER_CAP:
-            raise ValueError(f"normal forms too large: more than {NF_LETTER_CAP} "
+        if self._letters > rewriting.NF_LETTER_CAP:
+            raise ValueError(f"normal forms too large: more than {rewriting.NF_LETTER_CAP} "
                              "letters in the echelon's rows.")
         self._pivots[lead] = res
         return True
@@ -448,18 +448,18 @@ def _span_check(
     # their products.  In reversed-word order each expansion shares the
     # longest available suffix with the one before, which the chain then
     # reuses.  Ranks and residual leading monomials do not depend on the
-    # order of insertion.
+    # order of insertion.  The expansions are collected reversed, so they
+    # sort without a key, which would hold a second tuple per expansion
+    # while sorting.
     bases = _primitive_bases(bases)
     if confluent:
         bases = _live_bases(spec, bases, D, step_budget)
-    expansions = sorted(
-        {p.expansion() for p in enumerate_products(bases, h, D)}, key=lambda w: w[::-1]
-    )
+    reversed_expansions = sorted({p.expansion()[::-1] for p in enumerate_products(bases, h, D)})
 
     echelon = RowEchelon(spec.field)
     chain = SuffixChain()
-    for w in expansions:
-        nf = normalize(spec, w, step_budget, chain)
+    for w in reversed_expansions:
+        nf = normalize(spec, w[::-1], step_budget, chain)
         if nf:
             echelon.add(nf)
     rank_products = echelon.rank

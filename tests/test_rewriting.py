@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -953,7 +954,7 @@ def test_budget_runs_out_inside_a_periodic_run(runs):
 def test_periodic_run_of_a_two_letter_block_stops_inside_a_copy(monkeypatch, codes, rhs):
     # x a b -> rhs moves x through (a b)^K one copy per step, so the block Q
     # of the run is "a b" (q = 2).  The word ends in a c, the first letter of
-    # a copy and then another, where one anchored match of (?:a b)* stops.
+    # a copy and then another, where the count of copies of a b stops.
     # After two single steps the other K - 2 steps are one splice, and every
     # step is charged.
     seen = []
@@ -970,15 +971,41 @@ def test_periodic_run_of_a_two_letter_block_stops_inside_a_copy(monkeypatch, cod
         _trivial_alphabet(*(f"s{i}" for i in range(_WIDE_SIZE))),
         [sh.RewriteRule(tuple(map(symbol.get, "xab")), ((tuple(map(symbol.get, rhs)), 1),))],
     )
-    for K in (3, 4, 7, 40):
+    # The longer runs take _RUN copies a match, ending on a boundary of
+    # those matches or past one.
+    RUN = rewriting._RUN
+    for K in (3, 4, 7, 40, RUN + 2, 2 * RUN + 2, 2 * RUN + 3):
         word = tuple(map(symbol.get, "x" + "ab" * K + "ac"))
-        expect, steps = _naive_normalize(alg, word, 10**6)
-        assert steps == K
+        expect = {tuple(map(symbol.get, rhs[:-1] * K + "xac")): 1}
+        if K < 100:
+            assert _naive_normalize(alg, word, 10**6) == (expect, K)
         seen.clear()
-        assert sh.normalize(alg, word, steps) == expect
+        assert sh.normalize(alg, word, K) == expect
         assert seen == [(K - 2, 2)]
         with pytest.raises(sh.StepBudgetExceeded):
-            sh.normalize(alg, word, steps - 1)
+            sh.normalize(alg, word, K - 1)
+
+
+def test_long_run_of_a_two_letter_block_is_counted_in_bounded_memory():
+    # x (a b)^K c under x a b -> a b x takes K steps, all but two in one
+    # splice.  Counting the copies of a b holds a few copies of the 2K-symbol
+    # state (2 MB each here), not a record per copy: one unbounded regex
+    # match of (?:a b)* kept about 64 bytes per copy, over 60 MiB at this K.
+    K = 10**6
+    alg = sh.AlgebraSpec(
+        _trivial_alphabet("a", "b", "c", "x"),
+        [sh.RewriteRule(("x", "a", "b"), ((("a", "b", "x"), 1),))],
+    )
+    mono = alg._encode(("x",) + ("a", "b") * K + ("c",))
+    tracemalloc.start()
+    try:
+        form, steps = rewriting._rewrite(alg, {mono: [1, 0]}, 0, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == K
+    assert form == {alg._encode(("a", "b") * K + ("x", "c")): 1}
+    assert peak < 24 * 2**20
 
 
 def test_long_closed_form_words_take_exact_steps_quickly():

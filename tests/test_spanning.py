@@ -679,10 +679,10 @@ def test_echelon_letter_cap_pinned_on_the_fixture(monkeypatch, check, letters, r
     # At d = 8 the pivots of the fixture's check on {y, xx} hold exactly
     # these letters: a cap of that many passes, one less raises.
     args = (_fixture_algebra(), [("y",), ("x", "x")])
-    monkeypatch.setattr(sh.spanning, "NF_LETTER_CAP", letters)
+    monkeypatch.setattr(sh.rewriting, "NF_LETTER_CAP", letters)
     report = check(*args, h=2, d=8, D=16)
     assert (report.rank_products, report.rank_joint) == ranks
-    monkeypatch.setattr(sh.spanning, "NF_LETTER_CAP", letters - 1)
+    monkeypatch.setattr(sh.rewriting, "NF_LETTER_CAP", letters - 1)
     with pytest.raises(ValueError, match=f"more than {letters - 1} letters in the echelon's rows"):
         check(*args, h=2, d=8, D=16)
 
