@@ -62,10 +62,6 @@ def _deglex(mono: Word | str) -> tuple[int, Word | str]:
     return (len(mono), mono)
 
 
-def _deglex_term(term: tuple[Word | str, object]) -> tuple[int, Word | str]:
-    return (len(term[0]), term[0])
-
-
 @dataclass(frozen=True)
 class PoweredProduct:
     """Product of powers ((base word, exponent), ...) with distinct neighbors."""
@@ -123,13 +119,9 @@ def enumerate_products(
         raise ValueError(f"height must be >= 1, got {h}.")
     if D < 1:
         raise ValueError(f"expansion cap must be >= 1, got {D}.")
-    uniq: list[Word] = []
-    for b in bases:
-        w = tuple(b)
-        if not w:
-            raise ValueError("base words must be nonempty.")
-        if w not in uniq:
-            uniq.append(w)
+    uniq = list(dict.fromkeys(map(tuple, bases)))
+    if () in uniq:
+        raise ValueError("base words must be nonempty.")
     _count_products([len(w) for w in uniq], h, D)  # raises past either cap
 
     # Level j + 1 extends the level-j products in their sorted order, each by
@@ -276,67 +268,61 @@ def _live_bases(spec: AlgebraSpec, bases: Sequence[Word], D: int,
 class RowEchelon:
     """Incremental exact row echelon keyed by deglex-leading monomials.
 
-    Rows are {monomial: coefficient} maps.  Over F_p pivots are stored monic;
-    over the rationals rows are cleared to primitive integer vectors and
-    combined fraction-free, so no divisions ever happen.  The pivots hold at
-    most rewriting.NF_LETTER_CAP letters in their monomials; a row that would
-    pass it raises ValueError.
+    Rows are {monomial: coefficient} maps, brought to integers on entry:
+    residues in [1, p) over F_p, and over Q the row times the lcm of its
+    denominators.  Both fields share one elimination: the pivot of a row's
+    leading monomial, scaled, is subtracted from the row in place, mod p
+    over F_p and fraction-free over Q, where the row is kept primitive by
+    dividing out the gcd of its coefficients.  Pivots are stored monic over
+    F_p and with a positive leading coefficient over Q.  The pivots hold at
+    most rewriting.NF_LETTER_CAP letters in their monomials; a row that
+    would pass it raises ValueError and is not stored.
     """
 
     def __init__(self, field):
         self.field = field
-        self._modp = isinstance(field, PrimeField)
-        self._pivots: dict[Word, dict] = {}
+        # The field's characteristic: p over F_p, 0 over Q.
+        self._p = field.p if isinstance(field, PrimeField) else 0
+        self._pivots: dict[Word | str, dict] = {}
         self._letters = 0
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _prepare(self, row: LinComb) -> dict:
-        if self._modp:
-            p = self.field.p
-            # Copying a dict reuses its keys' hashes; a comprehension rehashes
-            # every monomial, so it is kept for rows that need reducing.
-            if all(0 < c < p for c in row.values()):
-                return dict(row)
-            return {w: c % p for w, c in row.items() if c % p}
-        den = 1
-        for c in row.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = {w: c.numerator * (den // c.denominator) for w, c in row.items() if c}
-        if not ints:
-            return {}
-        g = 0
-        for c in ints.values():
-            g = math.gcd(g, c)
-        return {w: c // g for w, c in ints.items()}
-
     def reduce(self, row: LinComb) -> dict:
         """Residual of a row against the current basis (empty iff in the span)."""
-        row = self._prepare(row)
+        p = self._p
+        if p:
+            row = {w: r for w, c in row.items() if (r := c % p)}
+        else:
+            # Pairwise: math.lcm(*genexpr) raised branching-q's peak by a
+            # pymalloc arena (about 1.2 MiB).
+            den = 1
+            for c in row.values():
+                den = math.lcm(den, c.denominator)
+            row = {w: c.numerator * (den // c.denominator) for w, c in row.items() if c}
         while row:
-            lead, b = max(row.items(), key=_deglex_term)
+            if not p:
+                g = math.gcd(*row.values())
+                if g > 1:
+                    for w in row:
+                        row[w] //= g
+            lead = max(row, key=_deglex)
             piv = self._pivots.get(lead)
             if piv is None:
-                return row
-            if self._modp:
-                p = self.field.p
-                for w, c in piv.items():
-                    acc = (row.pop(w, 0) - b * c) % p
-                    if acc:
-                        row[w] = acc
-            else:
-                a = piv[lead]
-                new: dict = {}
-                for w in row.keys() | piv.keys():
-                    v = a * row.get(w, 0) - b * piv.get(w, 0)
-                    if v:
-                        new[w] = v
-                g = 0
-                for v in new.values():
-                    g = math.gcd(g, v)
-                row = {w: v // g for w, v in new.items()} if g else new
+                break
+            # row <- a * row - b * piv, where a is 1 over F_p.
+            a, b = piv[lead], row[lead]
+            if a != 1:
+                for w in row:
+                    row[w] *= a
+            for w, c in piv.items():
+                v = row.pop(w, 0) - b * c
+                if p:
+                    v %= p
+                if v:
+                    row[w] = v
         return row
 
     def add(self, row: LinComb) -> bool:
@@ -344,18 +330,20 @@ class RowEchelon:
         res = self.reduce(row)
         if not res:
             return False
-        lead, top = max(res.items(), key=_deglex_term)
-        if self._modp:
-            if top != 1:
-                p = self.field.p
-                factor = self.field.inv(top)
-                res = {w: c * factor % p for w, c in res.items()}
-        elif top < 0:
-            res = {w: -c for w, c in res.items()}
-        self._letters += sum(map(len, res))
-        if self._letters > rewriting.NF_LETTER_CAP:
+        letters = self._letters + sum(map(len, res))
+        if letters > rewriting.NF_LETTER_CAP:
             raise ValueError(f"normal forms too large: more than {rewriting.NF_LETTER_CAP} "
                              "letters in the echelon's rows.")
+        lead = max(res, key=_deglex)
+        top, p = res[lead], self._p
+        if p and top != 1:
+            f = pow(top, -1, p)
+            for w in res:
+                res[w] = res[w] * f % p
+        elif top < 0:
+            for w in res:
+                res[w] = -res[w]
+        self._letters = letters
         self._pivots[lead] = res
         return True
 

@@ -100,6 +100,11 @@ def test_enumerate_products_respects_caps():
 
 def test_enumerate_products_deduplicates_bases():
     assert len(sh.enumerate_products([("x",), ("x",)], 1, 3)) == 3
+    # A string base is its tuple of one-letter symbols.
+    many = [("y",), "x", ("x", "y"), ("x",), ("y",), "xy"] * 30
+    assert sh.enumerate_products(many, 2, 4) == sh.enumerate_products([("x",), ("y",), ("x", "y")], 2, 4)
+    with pytest.raises(ValueError, match="nonempty"):
+        sh.enumerate_products([("x",), ("x",), ()], 1, 3)
 
 
 def _naive_products(bases, h, D):
@@ -326,9 +331,74 @@ def test_row_echelon_over_q_matches_fraction_elimination():
         assert (ech.reduce(probe) == {}) == inside
 
 
+def _modp_rank(rows, columns, p):
+    """Rank by plain Gauss-Jordan elimination over F_p."""
+    matrix = [[row.get(c, 0) % p for c in columns] for row in rows]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = pow(matrix[rank][col], -1, p)
+        matrix[rank] = [v * inv % p for v in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [(v - factor * q) % p for v, q in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [2, 7, 1_000_003])
+def test_row_echelon_over_fp_matches_modp_elimination(p):
+    # Rows of 2-4 terms with coefficients >= p, negative ones and multiples
+    # of p, some rows zero mod p, and enough rows to fall into each other's
+    # span.
+    F = sh.PrimeField(p)
+    rng = random.Random(17 + p)
+    words = [("a",), ("b",), ("c",), ("a", "b"), ("b", "a"), ("a", "a")]
+    small = [0, 1, 2, 3, p - 1]
+
+    def coef():
+        return rng.choice(small) + p * rng.randint(-3, 3)
+
+    for _ in range(80):
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            terms = rng.sample(words, rng.randint(2, 4))
+            if rng.random() < 0.15:
+                rows.append({w: p * rng.randint(-3, 3) for w in terms})
+            else:
+                rows.append({w: coef() for w in terms})
+        ech = sh.RowEchelon(F)
+        grew = [ech.add(r) for r in rows]
+        assert grew == [_modp_rank(rows[: i + 1], words, p) > _modp_rank(rows[:i], words, p)
+                        for i in range(len(rows))]
+        assert ech.rank == _modp_rank(rows, words, p)
+        assert all(ech.reduce(r) == {} for r in rows)
+        for _ in range(3):
+            probe = {w: coef() for w in rng.sample(words, rng.randint(2, 4))}
+            inside = _modp_rank(rows + [probe], words, p) == ech.rank
+            assert (ech.reduce(probe) == {}) == inside
+
+
+def test_row_echelon_refused_row_leaves_the_letter_cap(monkeypatch):
+    # A row past the cap is not stored, and its letters do not count against
+    # the rows that come after it.
+    monkeypatch.setattr(sh.rewriting, "NF_LETTER_CAP", 10)
+    for field in (sh.PrimeField(7), sh.RationalField()):
+        ech = sh.RowEchelon(field)
+        with pytest.raises(ValueError, match="more than 10 letters"):
+            ech.add({("a",) * 11: field.one})
+        assert ech.rank == 0
+        assert ech.add({("a",): field.one})
+        assert ech.rank == 1
+
+
 def test_row_echelon_over_fp_takes_unreduced_rows():
     # Coefficients >= p, negative ones and multiples of p reduce to the same
-    # rows as their residues; only rows already in [1, p) are copied as is.
+    # rows as their residues.
     F = sh.PrimeField(7)
     rng = random.Random(5)
     words = [("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "a")]
