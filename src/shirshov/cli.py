@@ -157,15 +157,16 @@ def _cmd_verify_base(args: argparse.Namespace) -> int:
     payload = _wire.fields(_load_payload(args), "verify-base payload",
                            required=("algebra", "base"), optional=("h", "d", "D", "graded"))
     payload = _fold(payload, args, h=None, d=None, D=None)
-    h = _wire.integer(payload["h"], 'verify-base "h"')
-    d = _wire.integer(payload["d"], 'verify-base "d"')
-    # None: the cap is 2*d.
-    D = None if payload["D"] is None else _wire.integer(payload["D"], 'verify-base "D"')
+    h = _wire.integer(payload["h"], 'verify-base "h"', 1)
+    d = _wire.integer(payload["d"], 'verify-base "d"', 1)
+    # None: the cap is 2*d, and the step budget the library's default.
+    D = None if payload["D"] is None else _wire.integer(payload["D"], 'verify-base "D"', 1)
+    steps = None if args.steps is None else _wire.integer(args.steps, 'verify-base "steps"', 1)
     graded = args.graded or _wire.boolean(payload.get("graded", False), 'verify-base "graded"')
     spec = algebra_from_json(payload["algebra"])
     base = [word_from_json(w) for w in _wire.array(payload["base"], '"base"')]
     check = check_graded_theorem if graded else is_shirshov_base
-    report = check(spec, base, h, d, D, step_budget=args.steps)
+    report = check(spec, base, h, d, D, step_budget=steps)
     lines = [
         f"verdict: {report.verdict}",
         f"height {report.height}, d {report.degree_cap}, D {report.expansion_cap}",

@@ -450,45 +450,30 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
     back = spec._back
     out: dict = {}
     while pending:
-        mono, (coef, hint) = pending.popitem()
-        m = search(mono, hint)
-        if m is not None:
-            rhs = rhss[m.lastindex]
-            if len(rhs) == 1:
-                # Single-term rules keep a single monomial, so splice them one
-                # after another; only branching rules need to fork.  start is
-                # where the search that found m began (re reads a negative
-                # start as 0).  A step that repeats the previous step's action
-                # at the same offset from start is tested for a periodic run.
-                start = hint
-                last = -1
-                prev = None
-                while True:
-                    pos, end = m.span()
-                    rword, rcoef = rhs[0]
-                    o = pos - start
-                    if o == last and o >= back and start >= 0 and rhs is prev:
-                        n, mono = _splice_run(mono, start, o, pos, end, rword, back)
-                        steps += n
-                        if steps > budget:
-                            raise _exhausted(budget)
-                        start += n * (o - back)
-                        coef = mul(coef, ring.pow(rcoef, n))
-                    else:
-                        last = o
-                        prev = rhs
-                        steps += 1
-                        if steps > budget:
-                            raise _exhausted(budget)
-                        mono = "".join((mono[:pos], rword, mono[end:]))
-                        start = pos - back
-                        coef = mul(coef, rcoef)
-                    m = search(mono, start)
-                    if m is None:
-                        break
-                    rhs = rhss[m.lastindex]
-                    if len(rhs) != 1:
-                        break
+        mono, (coef, start) = pending.popitem()
+        # Single-term rules keep a single monomial, so splice them one after
+        # another; only branching rules need to fork.  start is where the
+        # search that found m began (re reads a negative start as 0).  A step
+        # that repeats the last plain step's action at the same offset from
+        # start is tested for a periodic run of n steps; a plain step is
+        # n = 1, for which start + n * (o - back) is pos - back.
+        last = -1
+        prev = None
+        while (m := search(mono, start)) is not None and len(rhs := rhss[m.lastindex]) == 1:
+            pos, end = m.span()
+            rword, rcoef = rhs[0]
+            o = pos - start
+            if o == last and o >= back and start >= 0 and rhs is prev:
+                n, mono = _splice_run(mono, start, o, pos, end, rword, back)
+                rcoef = ring.pow(rcoef, n)
+            else:
+                n, last, prev = 1, o, rhs
+                mono = "".join((mono[:pos], rword, mono[end:]))
+            steps += n
+            if steps > budget:
+                raise _exhausted(budget)
+            start += n * (o - back)
+            coef = mul(coef, rcoef)
         if m is None:
             acc = add(out.get(mono, zero), coef)
             if is_zero(acc):

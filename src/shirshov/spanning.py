@@ -484,8 +484,10 @@ def _span_check(
 
 
 def _check_args(
-    spec: AlgebraSpec, S: Sequence[Sequence[str]], h: int, d: int, D: int | None
+    spec: AlgebraSpec, S: Sequence[Sequence[str]], h: int, d: int, D: int | None,
+    step_budget: int | None,
 ) -> tuple[list[Word], int]:
+    _check_budget(step_budget)  # before any target is enumerated
     if h < 1:
         raise ValueError(f"height must be >= 1, got {h}.")
     if d < 1:
@@ -520,7 +522,7 @@ def is_shirshov_base(
     and expansion length <= D (default 2*d).  A not-witnessed verdict lists
     missing monomials but does not disprove spanning at a larger D.
     """
-    bases, D = _check_args(spec, S, h, d, D)
+    bases, D = _check_args(spec, S, h, d, D, step_budget)
     return _span_check(spec, bases, h, d, D, _irreducible_words(spec, d), step_budget)
 
 
@@ -541,7 +543,7 @@ def check_graded_theorem(
     witnessed-spanning only when both phases are.  Over the trivial group the
     two phases coincide and the check reduces to is_shirshov_base.
     """
-    bases, D = _check_args(spec, S_e, h, d, D)
+    bases, D = _check_args(spec, S_e, h, d, D, step_budget)
     alphabet = spec.alphabet
     for w in bases:
         g = grade_of(alphabet, w)

@@ -421,11 +421,18 @@ def test_mistyped_payload_field_names_the_field(capsys, argv, field):
     assert field in err and "Traceback" not in err
 
 
+VERIFY_BASE_CAPS = {"algebra": FIXTURE_ALGEBRA, "base": [["x"], ["y"]], "h": 2, "d": 3}
+
+
 @pytest.mark.parametrize("command, flag, value, payload, span", [
     ("factorize", "--h", 0, {"alphabet": Z2_ALPHABET, "word": ["y"]}, ">= 1"),
     ("bench", "--trials", 0, {"n": 10}, "in [1,1000]"),
     ("bench", "--seed", -1, {"n": 10, "trials": 1}, ">= 0"),
-], ids=["factorize-h", "bench-trials", "bench-seed"])
+    ("verify-base", "--h", 0, VERIFY_BASE_CAPS, ">= 1"),
+    ("verify-base", "--d", 0, VERIFY_BASE_CAPS, ">= 1"),
+    ("verify-base", "--D", 0, VERIFY_BASE_CAPS, ">= 1"),
+], ids=["factorize-h", "bench-trials", "bench-seed", "verify-base-h", "verify-base-d",
+        "verify-base-D"])
 def test_flag_and_field_give_the_same_range_error(capsys, command, flag, value, payload,
                                                   span):
     name = flag[2:]
@@ -435,6 +442,15 @@ def test_flag_and_field_give_the_same_range_error(capsys, command, flag, value, 
     code, out, err = by_flag
     assert code == EXIT_BAD_INPUT and out == ""
     assert err == f'error: {command} "{name}" must be an integer {span}, got {value}.\n'
+
+
+def test_verify_base_steps_read_with_their_range_before_any_work(capsys):
+    # --steps has no payload field.  At d = 20 the free algebra's targets
+    # would trip the degree cap's guard, so the budget is read first.
+    payload = json.dumps({"algebra": FREE_ALGEBRA, "base": [["x"]], "h": 1, "d": 20})
+    code, out, err = run(capsys, "verify-base", "--steps", "0", "--json", payload)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == 'error: verify-base "steps" must be an integer >= 1, got 0.\n'
 
 
 @pytest.mark.parametrize("argv", [
@@ -527,8 +543,13 @@ def _one_rule(coef, field):
     ("decompose", "--json", '{"group": {"table": {"order": true, "table": [[0]]}}, "elems": [0]}'),
     ("decompose", "--json",
      '{"group": {"table": {"table": [[0,1],[1,1000000000000000000000000000000]]}}, "elems": [1]}'),
+    ("decompose", "--json", '{"group": {"table": {"table": [[0]], "names": ["e", "s"]}}, "elems": [0]}'),
+    ("factorize", "--json", json.dumps({"alphabet": {"group": {"cyclic": 2}, "generators": [
+        {"sym": "", "grade": 0}]}, "word": []})),
+    _verify_base_payload(_one_rule("1.5", {"prime": 1000003})),
 ], ids=["rules-int", "rules-null", "bench-list", "bench-null", "coef-float-q", "coef-int-fp",
-        "table-false-entry", "table-true-order", "table-huge-entry"])
+        "table-false-entry", "table-true-order", "table-huge-entry", "table-extra-names",
+        "empty-sym", "coef-decimal-fp"])
 def test_malformed_payload_shapes_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BAD_INPUT

@@ -46,11 +46,16 @@ def test_table_without_identity_rejected():
     bad = [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         sh.build_group(sh.table(bad))
+    # Row 0 is an identity row, column 0 is not.
+    with pytest.raises(ValueError, match=re.escape("identity violated: mul(1,0) = 0 != 1.")):
+        sh.build_group(sh.table([[0, 1], [0, 0]]))
 
 
 def test_table_entry_out_of_range_rejected():
     with pytest.raises(ValueError):
         sh.build_group(sh.table([[0, 1], [1, 2]]))
+    with pytest.raises(ValueError, match=re.escape("table row 1 has length 1, expected 2.")):
+        sh.build_group(sh.table([[0, 1], [1]]))
 
 
 def test_symmetric_is_nonabelian():
@@ -141,6 +146,8 @@ def test_custom_table_names():
     assert g.name_of(1) == "s"
     d = sh.build_group(sh.dihedral(4))
     assert d.name_of(5) == "g5"
+    with pytest.raises(ValueError, match=re.escape("got 2 names for 1 elements.")):
+        sh.build_group(sh.table([[0]], names=["e", "s"]))
 
 
 def test_spec_json_round_trip():
@@ -171,6 +178,9 @@ def test_spec_json_rejects_garbage():
                 {"table": {"order": 2, "table": [[0, 1]]}}):
         with pytest.raises(ValueError):
             sh.spec_from_json(doc)
+    for realize in (sh.build_group, sh.spec_to_json):
+        with pytest.raises(ValueError, match="unknown group kind 'banana'"):
+            realize(sh.GroupSpec("banana", 3))
 
 
 def test_cayley_array_matches_table():

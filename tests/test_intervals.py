@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from typing import Sequence
 
 import numpy as np
@@ -180,6 +181,10 @@ def test_lemma_bound_examples():
     assert sh.lemma_bound(0, 5) == 0
     assert sh.lemma_bound(4, 2) == 3
     assert sh.lemma_bound(1, 8) == 0
+    with pytest.raises(ValueError, match="sequence length must be >= 0, got -1"):
+        sh.lemma_bound(-1, 2)
+    with pytest.raises(ValueError, match="group order must be >= 1, got 0"):
+        sh.lemma_bound(1, 0)
 
 
 def test_decompose_optimal_examples():
@@ -221,6 +226,14 @@ def test_bruteforce_rejects_large_input():
 def test_sequence_validates_elements():
     with pytest.raises(ValueError, match=r"element 3 at position 2 out of range"):
         _seq(sh.cyclic(3), [0, 3])
+    z2 = sh.build_group(sh.cyclic(2))
+    for elems in (np.zeros((2, 2), dtype=np.int64), np.zeros(3)):
+        with pytest.raises(ValueError, match="one-dimensional and integral"):
+            sh.GradeSequence(z2, elems)
+    with pytest.raises(ValueError, match=re.escape("element 5 at position 2 out of range [0,1].")):
+        sh.GradeSequence(z2, np.array([1, 5]))
+    with pytest.raises(ValueError, match="no serializable spec"):
+        sh.sequence_to_json(sh.GradeSequence(sh.FiniteGroup([[0]]), [0]))
 
 
 def test_oracle_equivalence_small_exhaustive():

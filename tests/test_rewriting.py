@@ -48,6 +48,8 @@ def test_prime_field_arithmetic():
     assert F.is_zero(0) and not F.is_zero(3)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+    with pytest.raises(ValueError, match="bad F_1000003 coefficient '1.5'"):
+        sh.PrimeField().parse("1.5")
 
 
 def test_default_prime():
@@ -103,6 +105,8 @@ def test_rational_field():
     assert Q.inv(Fraction(2, 5)) == Fraction(5, 2)
     with pytest.raises(ValueError):
         Q.parse("1/0")
+    with pytest.raises(ZeroDivisionError, match="no inverse of 0"):
+        Q.inv(Fraction(0))
 
 
 def test_rational_working_ring_is_canonical():

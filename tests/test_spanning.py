@@ -571,6 +571,11 @@ def test_argument_validation():
         sh.is_shirshov_base(alg, [()], h=1, d=2)
     with pytest.raises(ValueError, match="unknown symbol"):
         sh.is_shirshov_base(alg, [("z",)], h=1, d=2)
+    # A bad budget is rejected before the targets are enumerated, which at
+    # d = 20 over the free algebra would trip the degree cap's guard.
+    for check in (sh.is_shirshov_base, sh.check_graded_theorem):
+        with pytest.raises(ValueError, match="step budget must be >= 1, got 0"):
+            check(_free_algebra(), [("y",)], 1, 20, step_budget=0)
 
 
 def test_degree_cap_guard():
@@ -755,6 +760,47 @@ def test_echelon_letter_cap_pinned_on_the_fixture(monkeypatch, check, letters, r
     monkeypatch.setattr(sh.rewriting, "NF_LETTER_CAP", letters - 1)
     with pytest.raises(ValueError, match=f"more than {letters - 1} letters in the echelon's rows"):
         check(*args, h=2, d=8, D=16)
+
+
+def _branching_algebra():
+    # y x -> 2 x y + 1/3 x over Q: every rewrite forks.
+    rule = sh.RewriteRule(("y", "x"), ((("x", "y"), Fraction(2)), (("x",), Fraction(1, 3))))
+    return sh.AlgebraSpec(_z2_alphabet(), [rule], sh.RationalField())
+
+
+@pytest.mark.parametrize("algebra, check, base, hdD, work", [
+    pytest.param(_fixture_algebra, sh.is_shirshov_base, [("x",), ("y",)], (2, 8, 16),
+                 (130_918, 116, 130_678), id="fixture-base"),
+    pytest.param(_fixture_algebra, sh.check_graded_theorem, [("y",), ("x", "x")], (2, 8, 16),
+                 (2_712_807, 6_907, 2_698_836), id="fixture-graded"),
+    pytest.param(_branching_algebra, sh.is_shirshov_base, [("x",), ("y",)], (2, 5, 10),
+                 (495, 0, 0), id="branching-base"),
+    pytest.param(_branching_algebra, sh.check_graded_theorem, [("y",), ("x", "x")], (2, 5, 10),
+                 (8_391, 0, 0), id="branching-graded"),
+])
+def test_engine_work_pinned_on_the_workloads(monkeypatch, algebra, check, base, hdD, work):
+    # The rule applications the engine makes on the benchmark's four checks,
+    # and the periodic runs of more than one step it splices, with their
+    # steps: a change of strategy or gate that keeps every rank shows here.
+    applied, runs = [], []
+    rewrite, splice_run = sh.rewriting._rewrite, sh.rewriting._splice_run
+
+    def counted_rewrite(spec, pending, steps, budget):
+        form, out = rewrite(spec, pending, steps, budget)
+        applied.append(out - steps)
+        return form, out
+
+    def counted_run(*args):
+        n, state = splice_run(*args)
+        if n > 1:
+            runs.append(n)
+        return n, state
+
+    monkeypatch.setattr(sh.rewriting, "_rewrite", counted_rewrite)
+    monkeypatch.setattr(sh.spanning, "_rewrite", counted_rewrite)
+    monkeypatch.setattr(sh.rewriting, "_splice_run", counted_run)
+    assert check(algebra(), base, *hdD).witnessed
+    assert (sum(applied), len(runs), sum(runs)) == work
 
 
 # ------------------------------------------------------- check_graded_theorem

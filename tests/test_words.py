@@ -21,10 +21,16 @@ def test_alphabet_validation():
         sh.GradedAlphabet(group, [("x", 0), ("x", 1)])
     with pytest.raises(ValueError, match="out of range"):
         sh.GradedAlphabet(group, [("x", 2)])
+    with pytest.raises(ValueError, match="symbols must be nonempty"):
+        sh.GradedAlphabet(group, [("x", 0), ("", 1)])
     alpha = _z2_alphabet()
     assert alpha.symbols == ("x", "y")
     with pytest.raises(ValueError, match="unknown symbol"):
         alpha.grade("z")
+    with pytest.raises(ValueError, match="unknown symbol 'z'"):
+        sh.grade_of(alpha, ("x", "z"))
+    with pytest.raises(ValueError, match="no serializable spec"):
+        sh.alphabet_to_json(sh.GradedAlphabet(sh.FiniteGroup([[0]]), [("x", 0)]))
 
 
 def test_grade_of_examples():
