@@ -38,9 +38,6 @@ __all__ = [
     "decomposition_to_json",
 ]
 
-# decompose_optimal takes the vectorized core from n >= _VECTOR_RATIO * |G|.
-_VECTOR_RATIO = 300
-
 
 class Interval(NamedTuple):
     """1-based inclusive interval of sequence positions."""
@@ -143,21 +140,16 @@ def decompose_optimal(seq: GradeSequence) -> Decomposition:
     Runs in time linear in the sequence length and is deterministic: when
     skipping position i and closing an interval at i tie, the interval wins,
     and among equally good interval starts the earliest (longest interval)
-    wins.  Below _VECTOR_RATIO * |G| elements one scalar pass settles all
-    of f; longer ones settle it in chunks, short chunks by that same pass.
+    wins.  One pass settles phi over the prefix products in chunks.
 
     No two returned intervals are adjacent: [j+1, i] starts after the first
     prefix j with (f(j), phi(j)) = (f(i), phi(i)), phi(j) being the best
     coverage of the first j positions minus j, and such a j >= 1 is skipped.
     """
-    n, m = len(seq), seq.group.order
-    if n >= _VECTOR_RATIO * m:
-        intervals, coverage = _optimal_core_vector(prefix_products(seq), m)
-    else:
-        intervals, coverage = _optimal_core_scalar(seq.group.cayley, seq.elems)
+    intervals, coverage = _optimal_core(prefix_products(seq), seq.group.order)
     return Decomposition(
         intervals=tuple(intervals),
-        uncovered=tuple(_complement(intervals, n)),
+        uncovered=tuple(_complement(intervals, len(seq))),
         coverage=coverage,
     )
 
@@ -181,8 +173,7 @@ def _settle(values: list[int], start: int, phi: int, best: list[int],
     return phi
 
 
-def _traceback(f: Sequence[int] | np.ndarray, m: int, phi: int,
-               first: dict[int, int]) -> list[Interval]:
+def _traceback(f: np.ndarray, m: int, phi: int, first: dict[int, int]) -> list[Interval]:
     # Walk back from n with phi = phi(n).  Prefix i ends the interval
     # [j+1, i] when first's j for (f(i), phi) is below i, and the walk jumps
     # to j; otherwise i is skipped and phi(i-1) = phi(i) + 1.
@@ -200,25 +191,7 @@ def _traceback(f: Sequence[int] | np.ndarray, m: int, phi: int,
     return intervals
 
 
-def _optimal_core_scalar(
-    cayley: np.ndarray, elems: Sequence[int] | np.ndarray
-) -> tuple[list[Interval], int]:
-    # A flat view of the table, indexed a*m + b, is zero-copy and cheaper to
-    # index than the 2-D view.
-    m = len(cayley)
-    flat = memoryview(cayley.ravel())
-    elems = elems.tolist() if isinstance(elems, np.ndarray) else elems
-    acc = 0
-    f = [acc, *[acc := flat[acc * m + g] for g in elems]]
-    best = [-(1 << 30)] * m
-    best[0] = 0
-    first = {0: 0}
-    # Prefix 0 is settled already, so reading it again changes nothing.
-    phi = _settle(f, 0, 0, best, first)
-    return _traceback(f, m, phi, first), phi + len(elems)
-
-
-def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
+def _optimal_core(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
     # _settle over the prefix products f in chunks.  best[] entries only
     # increase within [-(m-1), 0], so there are at most m*(m+1) events, but in
     # bursts.  A chunk of at most 256 positions goes to _settle; a longer one
@@ -229,7 +202,8 @@ def _optimal_core_vector(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
     n = len(f) - 1
     best = [-(1 << 30)] * m
     best[0] = 0
-    best_arr = np.array(best, dtype=np.int32)
+    best_arr = np.full(m, -(1 << 30), dtype=np.int32)
+    best_arr[0] = 0
     first = {0: 0}
     offsets = np.arange(min(n, 1 << 22), dtype=np.int32)
 

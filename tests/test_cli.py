@@ -663,8 +663,8 @@ def test_verify_base_caps_count_the_primitive_bases(capsys):
 
 def test_largest_group_decomposes_under_memory_limit():
     # An 800 MB address-space limit, as under `ulimit -v 800000`: a group of
-    # order MAX_ORDER holds one int32 table, which the scalar path reads in
-    # place.
+    # order MAX_ORDER holds one int32 table, which prefix_products gathers
+    # from in place.
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (800_000 * 1024,) * 2)
 

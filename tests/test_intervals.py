@@ -9,13 +9,7 @@ import numpy as np
 import pytest
 
 import shirshov as sh
-from shirshov.intervals import (
-    _VECTOR_RATIO,
-    Decomposition,
-    Interval,
-    _complement,
-    _optimal_core_vector,
-)
+from shirshov.intervals import Decomposition, Interval, _complement, _optimal_core
 
 
 def _seq(spec, elems):
@@ -75,7 +69,7 @@ def decompose_bruteforce(seq: sh.GradeSequence) -> Decomposition:
     )
 
 
-# An independent oracle for decompose_optimal's cores: the same phi
+# An independent oracle for decompose_optimal's core: the same phi
 # recurrence with its own traceback, through choice[i], the interval start
 # chosen at each position, instead of the first prefix of each (f, phi).
 def _optimal_core_reference(
@@ -243,7 +237,7 @@ def test_oracle_equivalence_small_exhaustive():
             seq = sh.GradeSequence(group, list(elems))
             coverage = decompose_bruteforce(seq).coverage
             assert sh.decompose_optimal(seq).coverage == coverage
-            assert _optimal_core_vector(sh.prefix_products(seq), 2)[1] == coverage
+            assert _optimal_core(sh.prefix_products(seq), 2)[1] == coverage
 
 
 def test_oracle_equivalence_random_nonabelian():
@@ -254,7 +248,7 @@ def test_oracle_equivalence_random_nonabelian():
         seq = sh.GradeSequence(group, [rng.randrange(6) for _ in range(n)])
         coverage = decompose_bruteforce(seq).coverage
         assert sh.decompose_optimal(seq).coverage == coverage
-        assert _optimal_core_vector(sh.prefix_products(seq), 6)[1] == coverage
+        assert _optimal_core(sh.prefix_products(seq), 6)[1] == coverage
 
 
 def test_optimal_output_always_verifies():
@@ -350,13 +344,16 @@ def test_verify_reports_a_rejected_interval_once(interval, message):
 
 
 def test_decompose_returns_plain_ints():
-    # Both cores: below and at the vector threshold.
+    # Numpy elements, prefix products and scans must not leak into the result.
     group = sh.build_group(sh.symmetric(3))
     rng = np.random.default_rng(5)
-    for n in (_VECTOR_RATIO * group.order - 1, _VECTOR_RATIO * group.order):
-        dec = sh.decompose_optimal(sh.GradeSequence(group, rng.integers(0, 6, size=n)))
+    for n in (300 * group.order - 1, 300 * group.order):
+        seq = sh.GradeSequence(group, rng.integers(0, 6, size=n))
+        dec = sh.decompose_optimal(seq)
         values = [dec.coverage, *dec.uncovered, *(p for iv in dec.intervals for p in iv)]
         assert dec.intervals and all(type(v) is int for v in values)
+        assert (list(dec.intervals), dec.coverage) == \
+            _optimal_core_reference(group.cayley, seq.elems), n
 
 
 def test_verify_flags_wrong_complement():
@@ -391,8 +388,7 @@ def test_deterministic_tie_breaking():
 
 
 def test_vectorized_path_matches_reference_exactly():
-    # Every n here is below the vector threshold, so decompose_optimal runs
-    # the scalar path.
+    # Short inputs, whose first chunks go to the settle loop.
     rng = random.Random(5)
     specs = (
         sh.cyclic(17), sh.symmetric(3), sh.dihedral(4),
@@ -404,7 +400,7 @@ def test_vectorized_path_matches_reference_exactly():
             n = rng.randrange(0, 600)
             seq = sh.GradeSequence(group, [rng.randrange(group.order) for _ in range(n)])
             expected = _optimal_core_reference(group.cayley, seq.elems)
-            assert _optimal_core_vector(sh.prefix_products(seq), group.order) == expected
+            assert _optimal_core(sh.prefix_products(seq), group.order) == expected
             dec = sh.decompose_optimal(seq)
             assert (list(dec.intervals), dec.coverage) == expected
 
@@ -438,43 +434,39 @@ def test_vectorized_core_restarts_match_reference():
             for kind, elems in _structured_sequences(group, rng, n).items():
                 seq = sh.GradeSequence(group, elems)
                 expected = _optimal_core_reference(group.cayley, elems)
-                assert _optimal_core_vector(sh.prefix_products(seq), group.order) == \
+                assert _optimal_core(sh.prefix_products(seq), group.order) == \
                     expected, (group.order, n, kind)
-                if n < _VECTOR_RATIO * group.order:  # the scalar path
-                    dec = sh.decompose_optimal(seq)
-                    assert (list(dec.intervals), dec.coverage) == expected, \
-                        (group.order, n, kind)
+                dec = sh.decompose_optimal(seq)
+                assert (list(dec.intervals), dec.coverage) == expected, \
+                    (group.order, n, kind)
 
 
 def test_vectorized_core_matches_reference_as_events_thin_out():
     # Over S6 and C4096 a random sequence raises best[] entries densely at
-    # first, in bursts the scalar chunks settle, and sparsely later, where
+    # first, in bursts the short chunks settle, and sparsely later, where
     # long vector scans run.
     rng = np.random.default_rng(23)
     for spec in (sh.symmetric(6), sh.cyclic(4096)):
         group = sh.build_group(spec)
         for n in (3000, 50_000, 200_000):
             seq = sh.GradeSequence(group, rng.integers(0, group.order, size=n))
-            assert _optimal_core_vector(sh.prefix_products(seq), group.order) == \
+            assert _optimal_core(sh.prefix_products(seq), group.order) == \
                 _optimal_core_reference(group.cayley, seq.elems), (group.order, n)
 
 
-def test_cores_agree_on_both_sides_of_the_threshold():
+def test_decompose_matches_reference_at_300_times_the_order():
     rng = np.random.default_rng(19)
     for spec in (sh.symmetric(3), sh.cyclic(17), sh.symmetric(5), sh.symmetric(6)):
         group = sh.build_group(spec)
-        threshold = _VECTOR_RATIO * group.order
-        # decompose_optimal takes the scalar path at threshold - 1 and the
-        # chunked core at threshold.
-        for n in (threshold - 1, threshold):
+        for n in (300 * group.order - 1, 300 * group.order, 299 * group.order):
             seq = sh.GradeSequence(group, rng.integers(0, group.order, size=n))
             ivs, cov = _optimal_core_reference(group.cayley, seq.elems)
-            assert _optimal_core_vector(sh.prefix_products(seq), group.order) == (ivs, cov)
+            assert _optimal_core(sh.prefix_products(seq), group.order) == (ivs, cov)
             dec = sh.decompose_optimal(seq)
             assert (list(dec.intervals), dec.coverage) == (ivs, cov), (group.order, n)
 
 
-def test_vectorized_path_used_above_threshold():
+def test_decompose_matches_reference_on_numpy_input():
     rng = np.random.default_rng(2)
     for spec, n in ((sh.cyclic(5), 6000), (sh.symmetric(3), 7000)):
         group = sh.build_group(spec)
@@ -488,16 +480,17 @@ def test_vectorized_path_used_above_threshold():
 
 
 def test_decompose_never_returns_adjacent_intervals():
-    # Sizes on both sides of the vector threshold, so both cores are covered.
     rng = random.Random(29)
     for spec in (sh.symmetric(5), sh.symmetric(6)):
         group = sh.build_group(spec)
-        threshold = _VECTOR_RATIO * group.order
-        for n in (rng.randrange(600, 20_000), threshold + rng.randrange(1000)):
+        for n in (rng.randrange(600, 20_000), 300 * group.order + rng.randrange(1000)):
             for kind, elems in _structured_sequences(group, rng, n).items():
-                ivs = sh.decompose_optimal(sh.GradeSequence(group, elems)).intervals
+                dec = sh.decompose_optimal(sh.GradeSequence(group, elems))
+                ivs = dec.intervals
                 assert all(cur.start > prev.end + 1 for prev, cur in zip(ivs, ivs[1:])), \
                     (group.order, n, kind)
+                assert (list(ivs), dec.coverage) == \
+                    _optimal_core_reference(group.cayley, elems), (group.order, n, kind)
 
 
 def test_numpy_inputs_accepted():

@@ -100,7 +100,7 @@ def test_factorize_merges_adjacent_intervals():
 
 
 def test_factorize_a_segments_are_the_decomposition_intervals():
-    # Words on both sides of the vector threshold of decompose_optimal.
+    # Short words, settled in one chunk, and long ones that reach the numpy scans.
     rng = random.Random(41)
     for spec, sizes in ((sh.symmetric(3), (60, 7000)), (sh.cyclic(5), (40, 6000))):
         group = sh.build_group(spec)
