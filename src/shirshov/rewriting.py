@@ -99,7 +99,8 @@ def _is_prime(p: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic in F_p on plain ints in [0, p)."""
+    """F_p on plain ints, its own working ring: the engine's add, mul and pow
+    give values in [0, p).  The tests' naive rewriter reduces % p itself."""
 
     # Rule coefficients must be ints; bools are rejected separately.
     _elements = (int,)
@@ -122,11 +123,6 @@ class PrimeField:
 
     def pow(self, a: int, k: int) -> int:
         return pow(a, k, self.p)
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("no inverse of 0.")
-        return pow(a, -1, self.p)
 
     def parse(self, s: str) -> int:
         try:
@@ -194,37 +190,19 @@ class _QPairs:
 
 
 class RationalField:
-    """Exact rational arithmetic on fractions.Fraction.
-
-    These methods are the field's public arithmetic.  The rewriting engine
-    does not call them: it computes in the working ring _QPairs and hands
-    back Fractions.
-    """
+    """The exact rationals as fractions.Fraction, with no arithmetic of its
+    own: the rewriting engine computes in the working ring _QPairs, and the
+    tests' naive rewriter with Fraction's operators."""
 
     # Rule coefficients must be ints or Fractions; bools are rejected
     # separately.
     _elements = (int, Fraction)
     _ring = _QPairs
 
-    zero = Fraction(0)
     one = Fraction(1)
 
     def is_zero(self, a: Fraction) -> bool:
         return a == 0
-
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def pow(self, a: Fraction, k: int) -> Fraction:
-        return a**k
-
-    def inv(self, a: Fraction) -> Fraction:
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0.")
-        return 1 / a
 
     def parse(self, s: str) -> Fraction:
         try:

@@ -280,7 +280,6 @@ class RowEchelon:
     """
 
     def __init__(self, field):
-        self.field = field
         # The field's characteristic: p over F_p, 0 over Q.
         self._p = field.p if isinstance(field, PrimeField) else 0
         self._pivots: dict[Word | str, dict] = {}

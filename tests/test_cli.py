@@ -15,6 +15,7 @@ from shirshov.cli import (
     EXIT_BUDGET,
     EXIT_NOT_WITNESSED,
     EXIT_OK,
+    entry,
     main,
 )
 
@@ -520,6 +521,25 @@ def test_closed_stdout_exits_quietly(tmp_path, fmt):
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("payload, expect", [
+    pytest.param('{"group":{"cyclic":2},"elems":[1,1,1,0]}', EXIT_OK, id="decompose"),
+    pytest.param('{"group":{"cyclic":2},"elems":[1,', EXIT_BAD_INPUT, id="malformed"),
+])
+def test_console_script_exits_with_main_code(monkeypatch, capsys, payload, expect):
+    # The installed "shirshov" command calls cli.entry, which reads sys.argv
+    # and exits with main's return code.
+    pyproject = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'shirshov = "shirshov.cli:entry"' in pyproject
+    argv = ["decompose", "--json", payload]
+    monkeypatch.setattr(sys, "argv", ["shirshov", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    out = capsys.readouterr().out
+    assert exc.value.code == expect == run(capsys, *argv)[0]
+    if expect == EXIT_OK:
+        assert json.loads(out)["coverage"] == 3
 
 
 def _verify_base_payload(algebra):
