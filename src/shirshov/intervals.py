@@ -38,6 +38,11 @@ __all__ = [
     "decomposition_to_json",
 ]
 
+# Elements per block of the interval kernels: prefix_products scans one block
+# at a time, and no phi-core chunk is longer, so their working memory beside
+# f is bounded by it.
+_BLOCK = 1 << 16
+
 
 class Interval(NamedTuple):
     """1-based inclusive interval of sequence positions."""
@@ -111,12 +116,19 @@ def lemma_bound(n: int, m: int) -> int:
 
 def prefix_products(seq: GradeSequence) -> np.ndarray:
     """All prefix products f(0) = e, f(k) = g_1 * ... * g_k, as one numpy array."""
-    # The table's dtype is wide enough for the flat index a*m + b.
+    # The table's dtype is wide enough for the flat index a*m + b.  Each block
+    # of _BLOCK elements is scanned on its own and then left-multiplied by the
+    # prefix before it, one gather through that element's table row, so the
+    # scan's temporaries are bounded by the block, not by n.
     cayley = seq.group.cayley
+    flat = cayley.ravel()
     out = np.empty(len(seq.elems) + 1, dtype=cayley.dtype)
     out[0] = 0
     out[1:] = seq.elems
-    _scan_pairs(cayley.ravel(), len(cayley), out[1:])
+    for lo in range(1, len(out), _BLOCK):
+        blk = out[lo : lo + _BLOCK]
+        _scan_pairs(flat, len(cayley), blk)
+        cayley[out[lo - 1]].take(blk, out=blk)
     return out
 
 
@@ -128,10 +140,14 @@ def _scan_pairs(flat: np.ndarray, m: int, x: np.ndarray) -> None:
     n = len(x)
     if n < 2:
         return
-    pairs = flat[x[0 : n - 1 : 2] * m + x[1::2]]
+    idx = x[0 : n - 1 : 2] * m
+    idx += x[1::2]
+    pairs = flat.take(idx)
     _scan_pairs(flat, m, pairs)
     x[1::2] = pairs
-    x[2::2] = flat[pairs[: (n - 1) // 2] * m + x[2::2]]
+    idx = pairs[: (n - 1) // 2] * m
+    idx += x[2::2]
+    x[2::2] = flat.take(idx)
 
 
 def decompose_optimal(seq: GradeSequence) -> Decomposition:
@@ -197,15 +213,16 @@ def _optimal_core(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
     # bursts.  A chunk of at most 256 positions goes to _settle; a longer one
     # is one vectorized scan: with best[] frozen, phi(i) + i =
     # max_t<=i (best[f(t)] + t) is a running maximum, valid up to the first
-    # event, which starts the next chunk.  best[] is also kept as an array
-    # for the gather, and every event writes both.
+    # event, which starts the next chunk.  No chunk is longer than _BLOCK.
+    # best[] is also kept as an array for the gather, and every event writes
+    # both.
     n = len(f) - 1
     best = [-(1 << 30)] * m
     best[0] = 0
     best_arr = np.full(m, -(1 << 30), dtype=np.int32)
     best_arr[0] = 0
     first = {0: 0}
-    offsets = np.arange(min(n, 1 << 22), dtype=np.int32)
+    offsets = np.arange(min(n, _BLOCK), dtype=np.int32)
 
     phi = 0  # phi(start - 1)
     start = 1
@@ -240,11 +257,11 @@ def _optimal_core(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
             start += k + 1
             # Restart at about twice the gap just scanned, so a burst costs
             # chunks of its own size.
-            chunk = max(64, 2 * (k + 1))
+            chunk = min(max(64, 2 * (k + 1)), _BLOCK)
         else:
             phi = int(scan[-1]) - (end - start)
             start = end + 1
-            chunk = min(chunk << 1, 1 << 22)
+            chunk = min(chunk << 1, _BLOCK)
 
     return _traceback(f, m, phi, first), phi + n
 

@@ -3,13 +3,14 @@
 import itertools
 import random
 import re
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
 import pytest
 
 import shirshov as sh
-from shirshov.intervals import Decomposition, Interval, _complement, _optimal_core
+from shirshov.intervals import _BLOCK, Decomposition, Interval, _complement, _optimal_core
 
 
 def _seq(spec, elems):
@@ -168,6 +169,30 @@ def test_scan_matches_scalar_fold():
                 got = sh.prefix_products(sh.GradeSequence(group, given))
                 assert got.dtype == group.cayley.dtype
                 assert got.tolist() == fold, (m, n, type(given))
+
+
+def test_scan_matches_scalar_fold_at_block_boundaries():
+    # prefix_products scans each block of _BLOCK elements on its own and
+    # left-multiplies it by the prefix before it: lengths one short of, at
+    # and one past k blocks end the last block at every parity.  The fold is
+    # independent of the scan, so a carry applied on the wrong side fails
+    # here even where f(a-1) = f(b) checks would agree with decompose.
+    rng = random.Random(41)
+    specs = (
+        sh.product(sh.symmetric(3), sh.cyclic(4)), sh.symmetric(6),
+        sh.table(sh.build_group(sh.symmetric(3)).cayley.tolist()), sh.cyclic(4096),
+    )
+    for spec in specs:
+        group = sh.build_group(spec)
+        m = group.order
+        low = m - 8 if m == 4096 else 0
+        elems = [rng.randrange(low, m) for _ in range(3 * _BLOCK + 1)]
+        fold = list(itertools.accumulate(elems, group.mul, initial=0))
+        for n in (k * _BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)):
+            for given in (tuple(elems[:n]), np.array(elems[:n], dtype=np.int64),
+                          np.array(elems[:n], dtype=np.int32)):
+                got = sh.prefix_products(sh.GradeSequence(group, given))
+                assert got.tolist() == fold[: n + 1], (m, n, type(given))
 
 
 def test_lemma_bound_examples():
@@ -452,6 +477,46 @@ def test_vectorized_core_matches_reference_as_events_thin_out():
             seq = sh.GradeSequence(group, rng.integers(0, group.order, size=n))
             assert _optimal_core(sh.prefix_products(seq), group.order) == \
                 _optimal_core_reference(group.cayley, seq.elems), (group.order, n)
+
+
+def test_core_restarts_after_an_event_late_in_a_full_chunk():
+    # Over C3, g_1 = 1 and g_e = 1 are the only events.  Quiet chunks double
+    # from 256 until a chunk of _BLOCK positions starts at _BLOCK + 1; the
+    # event at e lies past its middle, so twice the scanned gap is longer
+    # than _BLOCK, and the restart chunk must still be capped there.
+    group = sh.build_group(sh.cyclic(3))
+    e = _BLOCK + 1 + _BLOCK // 2 + 10
+    n = e + _BLOCK + 100
+    elems = np.zeros(n, dtype=np.int64)
+    elems[0] = elems[e - 1] = 1
+    seq = sh.GradeSequence(group, elems)
+    expected = ([Interval(2, e - 1), Interval(e + 1, n)], n - 2)
+    assert _optimal_core_reference(group.cayley, elems) == expected
+    assert _optimal_core(sh.prefix_products(seq), 3) == expected
+    dec = sh.decompose_optimal(seq)
+    assert (list(dec.intervals), dec.coverage) == expected
+
+
+def test_interval_kernels_working_memory_is_bounded():
+    # Beside the n + 1 prefix products, decompose and verify allocate only
+    # per-block temporaries, not arrays in proportion to n.
+    rng = np.random.default_rng(43)
+    n = 10 ** 6
+    for spec in (sh.cyclic(17), sh.symmetric(6)):
+        group = sh.build_group(spec)
+        seq = sh.GradeSequence(group, rng.integers(0, group.order, size=n))
+        limit = sh.prefix_products(seq).nbytes + (2 << 20)
+        dec = sh.decompose_optimal(seq)
+        for call in (lambda: sh.decompose_optimal(seq),
+                     lambda: sh.verify_decomposition(seq, dec)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit, (group.order, peak, limit)
 
 
 def test_decompose_matches_reference_at_300_times_the_order():
