@@ -14,7 +14,6 @@ positions stay uncovered.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -171,18 +170,19 @@ def decompose_optimal(seq: GradeSequence) -> Decomposition:
 
 
 def _settle(values: list[int], start: int, phi: int, best: list[int],
-            first: dict[int, int]) -> int:
+            best_arr: np.ndarray, first: dict[int, int]) -> int:
     # phi(i) = max(best[f(i)], phi(i-1) - 1) over values = f(start), ...,
     # from phi = phi(start - 1); best[v] is the largest phi(j) with f(j) = v.
-    # At an event, a position whose phi raises its own best[] entry, first
-    # records it as the first prefix with (f, phi) = (v, phi), under the key
-    # v - phi*|G|, one per pair since phi <= 0.
+    # At an event, a position whose phi raises its own best[] entry, the
+    # entry is written to both copies of best[], and first records the
+    # position as the first prefix with (f, phi) = (v, phi), under the key
+    # v - phi*|G|, one per pair since phi <= 0.  No other code writes them.
     m = len(best)
     for i, v in enumerate(values, start):
         b = best[v]
         if b < phi - 1:
             phi -= 1
-            best[v] = phi
+            best[v] = best_arr[v] = phi
             first[v - phi * m] = i
         else:
             phi = b
@@ -213,9 +213,9 @@ def _optimal_core(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
     # bursts.  A chunk of at most 256 positions goes to _settle; a longer one
     # is one vectorized scan: with best[] frozen, phi(i) + i =
     # max_t<=i (best[f(t)] + t) is a running maximum, valid up to the first
-    # event, which starts the next chunk.  No chunk is longer than _BLOCK.
-    # best[] is also kept as an array for the gather, and every event writes
-    # both.
+    # event, which the scan hands to _settle; the next chunk starts after it.
+    # No chunk is longer than _BLOCK.  best[] is kept as a list for _settle
+    # and as an array for the gather, and _settle writes both at each event.
     n = len(f) - 1
     best = [-(1 << 30)] * m
     best[0] = 0
@@ -232,14 +232,11 @@ def _optimal_core(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
         end = min(n, start + chunk - 1)
         if end - start < 256:
             seen = len(first)
-            phi = _settle(f[start : end + 1].tolist(), start, phi, best, first)
+            phi = _settle(f[start : end + 1].tolist(), start, phi, best, best_arr, first)
             start = end + 1
             # A burst keeps the chunk short; a quiet chunk doubles it.
             if len(first) == seen:
                 chunk <<= 1
-            # The chunk's events are the keys it added last to first.
-            for key in itertools.islice(reversed(first), len(first) - seen):
-                best_arr[key % m] = best[key % m]
             continue
         # b + k for chunk offset k, so that phi(start + k) = scan[k] - k and
         # an event is scan[k] > b[k] + k.
@@ -250,10 +247,9 @@ def _optimal_core(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
         rise = scan > b
         k = int(rise.argmax())
         if rise[k]:
-            v = int(f[start + k])
-            phi = int(scan[k]) - k
-            best[v] = best_arr[v] = phi
-            first[v - phi * m] = start + k
+            # phi(start + k - 1) = phi(start + k) + 1 at the event.
+            phi = _settle([int(f[start + k])], start + k, int(scan[k]) - k + 1,
+                          best, best_arr, first)
             start += k + 1
             # Restart at about twice the gap just scanned, so a burst costs
             # chunks of its own size.

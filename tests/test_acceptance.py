@@ -11,6 +11,7 @@ import time
 
 import shirshov as sh
 from shirshov.cli import main
+from fixture_algebras import fixture_algebra, z2_alphabet
 from test_intervals import decompose_bruteforce
 
 
@@ -18,20 +19,6 @@ def _line(num, label, ok, dt, limit=None):
     status = "PASS" if ok else "FAIL"
     tail = f" in {dt:.2f} s" + (f" (limit {limit:.0f} s)" if limit else "")
     print(f"criterion {num} ({label}): {status}{tail}")
-
-
-def _z2_alphabet():
-    group = sh.build_group(sh.cyclic(2))
-    return sh.GradedAlphabet(group, [("x", 1), ("y", 0)])
-
-
-def _fixture_algebra(field=None):
-    field = sh.PrimeField() if field is None else field
-    return sh.AlgebraSpec(
-        alphabet=_z2_alphabet(),
-        rules=[sh.RewriteRule(lhs=("x", "y"), rhs=((("y", "y", "x"), field.one),))],
-        field=field,
-    )
 
 
 def test_criterion_1_lemma_bound_exhaustive():
@@ -136,7 +123,7 @@ def test_criterion_4_factorization_invariants():
 
 def test_criterion_5_worked_theorem_instance():
     t0 = time.perf_counter()
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     base_report = sh.is_shirshov_base(alg, [("x",), ("y",)], h=2, d=8, D=16)
     graded_report = sh.check_graded_theorem(
         alg, [("y",), ("x", "x")], h=2, d=8, D=16
@@ -157,7 +144,7 @@ def test_criterion_5_worked_theorem_instance():
 
 def test_criterion_6_negative_control():
     t0 = time.perf_counter()
-    free = sh.AlgebraSpec(alphabet=_z2_alphabet(), rules=[])
+    free = sh.AlgebraSpec(alphabet=z2_alphabet(), rules=[])
     report = sh.is_shirshov_base(free, [("x",), ("y",)], h=2, d=3, D=6)
     dt = time.perf_counter() - t0
     ok = report.verdict == sh.NOT_WITNESSED and ("x", "y", "x") in report.missing
@@ -170,7 +157,7 @@ def test_criterion_7_field_consistency():
     t0 = time.perf_counter()
     verdicts = {}
     for name, field in (("prime", sh.PrimeField()), ("rational", sh.RationalField())):
-        alg = _fixture_algebra(field)
+        alg = fixture_algebra(field)
         base_report = sh.is_shirshov_base(alg, [("x",), ("y",)], h=2, d=8, D=16)
         graded_report = sh.check_graded_theorem(
             alg, [("y",), ("x", "x")], h=2, d=8, D=16

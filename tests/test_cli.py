@@ -51,6 +51,18 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None), err
 
 
+def _run_limited(limit_kib, *argv):
+    # The CLI in a fresh interpreter under an address-space limit of
+    # limit_kib KiB, as under `ulimit -v limit_kib`.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_kib * 1024,) * 2)
+
+    return subprocess.run(
+        [sys.executable, "-m", "shirshov.cli", *argv],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+    )
+
+
 # ----------------------------------------------------------------- decompose
 
 
@@ -592,14 +604,8 @@ def test_verify_base_expansion_cap_exit_two(capsys, monkeypatch):
 def test_oversized_group_exits_two_under_memory_limit(group):
     # A 2 GB address-space limit, as under `ulimit -v 2000000`: the order is
     # rejected before any table is allocated, so no MemoryError can occur.
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "shirshov.cli", "decompose",
-         "--json", json.dumps({"group": group, "elems": [1]})],
-        capture_output=True, text=True, preexec_fn=limit, timeout=120,
-    )
+    proc = _run_limited(2_000_000, "decompose",
+                        "--json", json.dumps({"group": group, "elems": [1]}))
     assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
     assert "exceeds the cap of 4096" in proc.stderr
 
@@ -607,14 +613,8 @@ def test_oversized_group_exits_two_under_memory_limit(group):
 def test_oversized_bench_exits_two_under_memory_limit():
     # A 2 GB address-space limit, as under `ulimit -v 2000000`: n is rejected
     # before any array is allocated, so no MemoryError can occur.
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "shirshov.cli", "bench",
-         "--json", json.dumps({"n": 10 ** 12, "trials": 1})],
-        capture_output=True, text=True, preexec_fn=limit, timeout=120,
-    )
+    proc = _run_limited(2_000_000, "bench",
+                        "--json", json.dumps({"n": 10 ** 12, "trials": 1}))
     assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == ('error: bench "n" must be an integer in [0,100000000], '
@@ -634,13 +634,7 @@ def test_oversized_bench_exits_two_under_memory_limit():
 def test_letter_blowup_exits_two_under_memory_limit(payload, message):
     # A 2 GB address-space limit, as under `ulimit -v 2000000`: the letters
     # are counted as the products and words are, so no MemoryError can occur.
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "shirshov.cli", "verify-base", "--json", json.dumps(payload)],
-        capture_output=True, text=True, preexec_fn=limit, timeout=120,
-    )
+    proc = _run_limited(2_000_000, "verify-base", "--json", json.dumps(payload))
     assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: {message}: more than 10000000 letters")
@@ -651,15 +645,9 @@ def test_normal_form_blowup_exits_two_under_memory_limit():
     # A 1.2 GB address-space limit, as under `ulimit -v 1200000`.  Under
     # x y -> y y x the graded check at d = 12 would hold about 1.9 G letters
     # in its echelon's pivots; the letter cap stops it at 10^8.
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1_200_000 * 1024,) * 2)
-
     payload = json.dumps({"algebra": FIXTURE_ALGEBRA, "base": [["y"], ["x", "x"]]})
-    proc = subprocess.run(
-        [sys.executable, "-m", "shirshov.cli", "verify-base", "--graded", "--h", "2",
-         "--d", "12", "--steps", "1000000000", "--json", payload],
-        capture_output=True, text=True, preexec_fn=limit, timeout=120,
-    )
+    proc = _run_limited(1_200_000, "verify-base", "--graded", "--h", "2",
+                        "--d", "12", "--steps", "1000000000", "--json", payload)
     assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == ("error: normal forms too large: more than 100000000 letters "
@@ -685,14 +673,8 @@ def test_largest_group_decomposes_under_memory_limit():
     # An 800 MB address-space limit, as under `ulimit -v 800000`: a group of
     # order MAX_ORDER holds one int32 table, which prefix_products gathers
     # from in place.
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (800_000 * 1024,) * 2)
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "shirshov.cli", "decompose",
-         "--json", json.dumps({"group": {"cyclic": 4096}, "elems": [1]})],
-        capture_output=True, text=True, preexec_fn=limit, timeout=120,
-    )
+    proc = _run_limited(800_000, "decompose",
+                        "--json", json.dumps({"group": {"cyclic": 4096}, "elems": [1]}))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout) == {"intervals": [], "uncovered": [1], "coverage": 0,
                                        "bound_ok": True}

@@ -15,24 +15,12 @@ import shirshov as sh
 from shirshov import rewriting
 from shirshov.rewriting import _is_prime
 
-
-def _z2_alphabet():
-    group = sh.build_group(sh.cyclic(2))
-    return sh.GradedAlphabet(group, [("x", 1), ("y", 0)])
+from fixture_algebras import fixture_algebra, z2_alphabet
 
 
 def _trivial_alphabet(*syms):
     group = sh.build_group(sh.cyclic(1))
     return sh.GradedAlphabet(group, [(s, 0) for s in syms])
-
-
-def _fixture_algebra(field=None):
-    field = sh.PrimeField() if field is None else field
-    return sh.AlgebraSpec(
-        alphabet=_z2_alphabet(),
-        rules=[sh.RewriteRule(lhs=("x", "y"), rhs=((("y", "y", "x"), field.one),))],
-        field=field,
-    )
 
 
 # ---------------------------------------------------------------- fields
@@ -162,7 +150,7 @@ def test_rule_rejects_empty_lhs():
 
 def test_algebra_rejects_zero_coefficient():
     for alphabet, rule, field in [
-        (_z2_alphabet(), sh.RewriteRule(lhs=("x", "y"), rhs=((("y", "x"), 0),)), None),
+        (z2_alphabet(), sh.RewriteRule(lhs=("x", "y"), rhs=((("y", "x"), 0),)), None),
         # 7 is zero in F_7, though not as an int.
         (_trivial_alphabet("x", "y", "z"),
          sh.RewriteRule(lhs=("x",), rhs=((("y",), 7), (("z",), 1))), sh.PrimeField(7)),
@@ -174,7 +162,7 @@ def test_algebra_rejects_zero_coefficient():
 def test_algebra_rejects_duplicate_rhs_monomial():
     with pytest.raises(ValueError, match="duplicate monomial"):
         sh.AlgebraSpec(
-            alphabet=_z2_alphabet(),
+            alphabet=z2_alphabet(),
             rules=[sh.RewriteRule(
                 lhs=("x", "y"), rhs=((("y", "x"), 1), (("y", "x"), 2))
             )],
@@ -184,7 +172,7 @@ def test_algebra_rejects_duplicate_rhs_monomial():
 def test_algebra_rejects_inhomogeneous_rule():
     with pytest.raises(ValueError, match="grade-homogeneous"):
         sh.AlgebraSpec(
-            alphabet=_z2_alphabet(),
+            alphabet=z2_alphabet(),
             rules=[sh.RewriteRule(lhs=("x",), rhs=((("y",), 1),))],
         )
 
@@ -203,7 +191,7 @@ def test_algebra_rejects_coefficients_outside_the_field(field, coef):
     # "3" over Q raised TypeError.
     rule = sh.RewriteRule(lhs=("y", "x"), rhs=((("x", "y"), coef),))
     with pytest.raises(ValueError, match="coefficient .* on 'x y' .* not an element"):
-        sh.AlgebraSpec(_z2_alphabet(), [rule], field)
+        sh.AlgebraSpec(z2_alphabet(), [rule], field)
 
 
 def test_algebra_accepts_ints_and_fractions_over_q_and_ints_over_fp():
@@ -215,7 +203,7 @@ def test_algebra_accepts_ints_and_fractions_over_q_and_ints_over_fp():
         (sh.PrimeField(7), -1, 1),
     ]:
         rule = sh.RewriteRule(lhs=("y", "x"), rhs=((("x", "y"), coef),))
-        alg = sh.AlgebraSpec(_z2_alphabet(), [rule], field)
+        alg = sh.AlgebraSpec(z2_alphabet(), [rule], field)
         nf = sh.normalize(alg, ("y", "y", "x"))
         assert nf == {("x", "y", "y"): square}
         assert type(nf["x", "y", "y"]) is type(field.one)
@@ -223,31 +211,31 @@ def test_algebra_accepts_ints_and_fractions_over_q_and_ints_over_fp():
 
 def test_algebra_rejects_an_unknown_field():
     with pytest.raises(ValueError, match="field must be"):
-        sh.AlgebraSpec(_z2_alphabet(), [], "Q")
+        sh.AlgebraSpec(z2_alphabet(), [], "Q")
 
 
 # ---------------------------------------------------------------- normalize
 
 
 def test_normalize_fixture_examples():
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     assert sh.normalize(alg, ("x", "y")) == {("y", "y", "x"): 1}
     assert sh.normalize(alg, ("x", "x", "y")) == {("y", "y", "y", "y", "x", "x"): 1}
 
 
 def test_normalize_free_algebra_is_identity():
-    free = sh.AlgebraSpec(alphabet=_z2_alphabet(), rules=[])
+    free = sh.AlgebraSpec(alphabet=z2_alphabet(), rules=[])
     for w in ((), ("x",), ("x", "y", "x")):
         assert sh.normalize(free, w) == {w: 1}
 
 
 def test_normalize_empty_word():
-    assert sh.normalize(_fixture_algebra(), ()) == {(): 1}
+    assert sh.normalize(fixture_algebra(), ()) == {(): 1}
 
 
 def test_normalize_closed_form():
     # Under xy -> y^2 x the normal form of x^m y^k is y^(k 2^m) x^m.
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     for m, k in ((1, 3), (2, 2), (3, 1), (6, 2), (10, 1)):
         word = ("x",) * m + ("y",) * k
         expect = ("y",) * (k * 2**m) + ("x",) * m
@@ -256,7 +244,7 @@ def test_normalize_closed_form():
 
 def test_normalize_rejects_unknown_symbol():
     with pytest.raises(ValueError, match="unknown symbol"):
-        sh.normalize(_fixture_algebra(), ("x", "z"))
+        sh.normalize(fixture_algebra(), ("x", "z"))
 
 
 def test_normalize_leftmost_position_wins():
@@ -332,7 +320,7 @@ def test_normalize_cancellation_drops_zero_terms():
 
 def test_normalize_rule_to_zero():
     alg = sh.AlgebraSpec(
-        alphabet=_z2_alphabet(),
+        alphabet=z2_alphabet(),
         rules=[sh.RewriteRule(lhs=("x", "x"), rhs=())],
     )
     assert sh.normalize(alg, ("x", "x", "y")) == {}
@@ -341,7 +329,7 @@ def test_normalize_rule_to_zero():
 
 def test_step_budget_counts_single_rewrites():
     # "x x y" needs exactly three rewrites to reach its normal form.
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     assert sh.normalize(alg, ("x", "x", "y"), step_budget=3) == \
         {("y", "y", "y", "y", "x", "x"): 1}
     with pytest.raises(sh.StepBudgetExceeded):
@@ -364,11 +352,11 @@ def test_step_budget_nonterminating_presentation():
 def test_step_budget_validation_and_default():
     assert sh.DEFAULT_STEP_BUDGET == 100_000
     with pytest.raises(ValueError):
-        sh.normalize(_fixture_algebra(), ("x",), step_budget=0)
+        sh.normalize(fixture_algebra(), ("x",), step_budget=0)
 
 
 def test_normalize_preserves_grade():
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     alpha = alg.alphabet
     import random
 
@@ -381,7 +369,7 @@ def test_normalize_preserves_grade():
 
 
 def test_normalize_deterministic():
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     w = ("x", "y", "x", "y", "y", "x")
     assert sh.normalize(alg, w) == sh.normalize(alg, w)
 
@@ -455,7 +443,7 @@ def _naive_normalize(spec, word, budget):
 def _branching_algebra():
     Q = sh.RationalField()
     return sh.AlgebraSpec(
-        alphabet=_z2_alphabet(),
+        alphabet=z2_alphabet(),
         rules=[sh.RewriteRule(
             lhs=("y", "x"), rhs=((("x", "y"), Fraction(2)), (("x",), Fraction(1, 3)))
         )],
@@ -581,7 +569,7 @@ def _random_words(rng, letters, count, longest):
 
 
 @pytest.mark.parametrize("make, letters, longest, budget", [
-    pytest.param(_fixture_algebra, "xy", 9, 10**6, id="fixture"),
+    pytest.param(fixture_algebra, "xy", 9, 10**6, id="fixture"),
     pytest.param(_branching_algebra, "xy", 8, 10**6, id="branching"),
     pytest.param(_leftmost_algebra, "xyzuv", 10, 10**6, id="leftmost"),
     pytest.param(_longest_algebra, "abc", 10, 10**6, id="longest"),
@@ -714,7 +702,7 @@ def test_rational_results_are_fractions_on_every_path():
         ],
         field=Q,
     )
-    free = sh.AlgebraSpec(_z2_alphabet(), [], Q)
+    free = sh.AlgebraSpec(z2_alphabet(), [], Q)
     words = [tuple(w) for w in ("", "x", "yx", "yyx", "xyz", "yzx", "xyyx", "yyxx")]
     for alg, letters in ((_branching_algebra(), "xy"), (uncertified, "xyzuv"), (free, "xy")):
         chain = sh.SuffixChain()
@@ -731,7 +719,7 @@ def test_rational_results_are_fractions_on_every_path():
 
 
 @pytest.mark.parametrize("make, letters", [
-    pytest.param(_fixture_algebra, "xy", id="fixture"),
+    pytest.param(fixture_algebra, "xy", id="fixture"),
     pytest.param(_branching_algebra, "xy", id="branching"),
     pytest.param(_wide_algebra, _WIDE, id="wide"),
 ])
@@ -754,7 +742,7 @@ def _free_out_of_name_order():
 
 
 @pytest.mark.parametrize("make, letters, certified", [
-    pytest.param(_fixture_algebra, "xy", True, id="fold"),
+    pytest.param(fixture_algebra, "xy", True, id="fold"),
     pytest.param(_leftmost_algebra, "xyzuv", False, id="uncertified"),
     pytest.param(_free_out_of_name_order, "yxb", True, id="rule-free"),
 ])
@@ -778,7 +766,7 @@ def test_chain_words_follow_the_spec():
     # x, y and a, b intern to the same code points, so one chain that crossed
     # from one spec to the other must give each spec's own normal form.
     group = sh.build_group(sh.cyclic(2))
-    xy = _fixture_algebra()
+    xy = fixture_algebra()
     ab = sh.AlgebraSpec(
         sh.GradedAlphabet(group, [("a", 1), ("b", 0)]),
         [sh.RewriteRule(lhs=("a", "b"), rhs=((("b", "b", "a"), 1),))],
@@ -792,7 +780,7 @@ def test_chain_words_follow_the_spec():
 def test_memo_closed_form_charges_fold_steps_on_both_paths():
     # nf(x^a y^b) = y^(b 2^a) x^a in exactly b (2^a - 1) steps, charged in
     # full on the memo path even when the chain already holds a suffix.
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     for a, b in ((1, 2), (2, 3), (5, 2), (8, 1)):
         word = ("x",) * a + ("y",) * b
         expect = {("y",) * (b << a) + ("x",) * a: 1}
@@ -809,7 +797,7 @@ def test_memo_closed_form_charges_fold_steps_on_both_paths():
 def test_warm_chain_charges_a_cached_word_against_a_smaller_budget():
     # The chain holds the whole word with its fold steps, so a second call
     # under a smaller budget fails before folding any letter.
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     word = ("x", "x", "y", "y")
     chain = sh.SuffixChain()
     got = sh.normalize(alg, word, 10**6, chain)
@@ -822,7 +810,7 @@ def test_chain_letter_cap_counts_every_held_form(monkeypatch):
     # nf(x^k y) = y^(2^k) x^k, so folding x^a y leaves the chain holding the
     # forms of x^k y for k = 0 .. a: 2^(a+1) - 1 + a(a+1)/2 letters in all,
     # the forms it reused from a warm chain included.
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     a = 10
     word = ("x",) * a + ("y",)
     held = 2 ** (a + 1) - 1 + a * (a + 1) // 2
@@ -949,7 +937,7 @@ def test_periodic_runs_match_naive_rewriter(runs, field, size, letters):
 def test_periodic_run_multiplies_coefficient_power(runs, field, coef):
     # x y -> c y y x moves x through y^K in K steps, so nf = c^K y^2K x.
     alg = sh.AlgebraSpec(
-        _z2_alphabet(), [sh.RewriteRule(("x", "y"), ((("y", "y", "x"), coef),))], field
+        z2_alphabet(), [sh.RewriteRule(("x", "y"), ((("y", "y", "x"), coef),))], field
     )
     value = _oracle_value(field)
     for K in (1, 2, 5, 50, 257):
@@ -969,7 +957,7 @@ def test_periodic_run_multiplies_coefficient_power(runs, field, coef):
 def test_budget_runs_out_inside_a_periodic_run(runs):
     # x y^50 takes 50 steps, all but a few of them in one splice; a budget of
     # 25 runs out inside it and still raises.
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     word = ("x",) + ("y",) * 50
     with pytest.raises(sh.StepBudgetExceeded):
         sh.normalize(alg, word, 25)
@@ -1077,11 +1065,11 @@ def test_long_closed_form_words_take_exact_steps_quickly():
 
 
 def test_check_confluence_certifies_fixture_and_branching():
-    for alg in (_fixture_algebra(), _branching_algebra(), _wide_algebra()):
+    for alg in (fixture_algebra(), _branching_algebra(), _wide_algebra()):
         cert = sh.check_confluence(alg)
         assert cert.confluent and cert.unresolved is None
         assert sh.check_confluence(alg) is cert  # cached on the spec
-    free = sh.AlgebraSpec(alphabet=_z2_alphabet(), rules=[])
+    free = sh.AlgebraSpec(alphabet=z2_alphabet(), rules=[])
     assert sh.check_confluence(free) == sh.Confluence(resolved=0, unresolved=None)
 
 
@@ -1154,7 +1142,7 @@ def test_check_confluence_compares_values_not_their_derivations(x_y, u_z, s_z):
 
 def test_check_confluence_validates_budget():
     with pytest.raises(ValueError):
-        sh.check_confluence(_fixture_algebra(), step_budget=0)
+        sh.check_confluence(fixture_algebra(), step_budget=0)
 
 
 # ---------------------------------------------------------------- JSON

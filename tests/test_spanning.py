@@ -13,23 +13,11 @@ import pytest
 import shirshov as sh
 from shirshov.spanning import _count_products, _primitive_bases
 
-
-def _z2_alphabet():
-    group = sh.build_group(sh.cyclic(2))
-    return sh.GradedAlphabet(group, [("x", 1), ("y", 0)])
-
-
-def _fixture_algebra(field=None):
-    field = sh.PrimeField() if field is None else field
-    return sh.AlgebraSpec(
-        alphabet=_z2_alphabet(),
-        rules=[sh.RewriteRule(lhs=("x", "y"), rhs=((("y", "y", "x"), field.one),))],
-        field=field,
-    )
+from fixture_algebras import fixture_algebra, z2_alphabet
 
 
 def _free_algebra(field=None):
-    return sh.AlgebraSpec(alphabet=_z2_alphabet(), rules=[], field=field)
+    return sh.AlgebraSpec(alphabet=z2_alphabet(), rules=[], field=field)
 
 
 # ---------------------------------------------------------- powered products
@@ -246,7 +234,7 @@ def _echelon_rank(alg, words):
 
 
 def test_row_echelon_ranks_normal_forms():
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     assert _echelon_rank(alg, [("x",), ("y",), ("x", "y")]) == 3
     assert _echelon_rank(alg, []) == 0
     assert _echelon_rank(alg, [("x",), ("x",)]) == 1
@@ -255,13 +243,13 @@ def test_row_echelon_ranks_normal_forms():
 def test_row_echelon_detects_linear_relation():
     # NF(x y) = y y x, so x y and y y x span one line; y x is irreducible and
     # differs from y y x, so x y and y x span two.
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     assert _echelon_rank(alg, [("x", "y"), ("y", "y", "x")]) == 1
     assert _echelon_rank(alg, [("x", "y"), ("y", "x")]) == 2
 
 
 def test_row_echelon_rank_is_order_invariant():
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     words = [("x",), ("y",), ("x", "y"), ("y", "x"), ("x", "x", "y"), ("y", "y")]
     expect = _echelon_rank(alg, words)
     rng = random.Random(13)
@@ -434,7 +422,7 @@ def test_missing_unchanged_by_unreduced_rows(monkeypatch):
 
 
 def test_fixture_base_witnessed():
-    rep = sh.is_shirshov_base(_fixture_algebra(), [("x",), ("y",)], h=2, d=6, D=12)
+    rep = sh.is_shirshov_base(fixture_algebra(), [("x",), ("y",)], h=2, d=6, D=12)
     assert rep.verdict == sh.WITNESSED
     assert rep.witnessed
     assert rep.missing == ()
@@ -453,7 +441,7 @@ def test_free_algebra_not_witnessed():
 def test_every_short_word_base_is_trivially_witnessed():
     # When S contains every irreducible word of length <= d, the targets are
     # literally among the products.
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     S = [("x",), ("y",), ("x", "x"), ("y", "x"), ("y", "y")]
     rep = sh.is_shirshov_base(alg, S, h=1, d=2, D=2)
     assert rep.verdict == sh.WITNESSED
@@ -465,7 +453,7 @@ def test_default_expansion_cap_is_twice_degree():
 
 
 def test_monotone_in_height():
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     r1 = sh.is_shirshov_base(alg, [("x",), ("y",)], h=1, d=4, D=8)
     r2 = sh.is_shirshov_base(alg, [("x",), ("y",)], h=2, d=4, D=8)
     assert r1.verdict == sh.NOT_WITNESSED
@@ -474,7 +462,7 @@ def test_monotone_in_height():
 
 
 def test_monotone_in_base_set():
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     r1 = sh.is_shirshov_base(alg, [("x",)], h=2, d=2, D=4)
     r2 = sh.is_shirshov_base(alg, [("x",), ("y",)], h=2, d=2, D=4)
     assert r1.verdict == sh.NOT_WITNESSED
@@ -558,7 +546,7 @@ def test_caps_count_the_primitive_bases():
 
 
 def test_argument_validation():
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     S = [("x",), ("y",)]
     with pytest.raises(ValueError):
         sh.is_shirshov_base(alg, S, h=0, d=3)
@@ -583,7 +571,7 @@ def test_degree_cap_guard():
 
 
 def test_step_budget_propagates():
-    alpha = _z2_alphabet()
+    alpha = z2_alphabet()
     pingpong = sh.AlgebraSpec(
         alphabet=sh.GradedAlphabet(alpha.group, [("x", 1), ("y", 1)]),
         rules=[
@@ -719,7 +707,7 @@ def test_zero_bases_stay_on_unconfluent_presentations():
 def test_base_exhausting_the_budget_is_kept():
     # x y^20 takes 20 steps under x y -> y y x, so its test exhausts a budget
     # of 10 and the base stays: its product then exhausts it too.
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     with pytest.raises(sh.StepBudgetExceeded):
         sh.is_shirshov_base(alg, [("x",) + ("y",) * 20], h=1, d=1, D=21, step_budget=10)
 
@@ -736,7 +724,7 @@ def test_witnessed_graded_check_decodes_no_monomial(monkeypatch):
             return method(self, *args)
 
         monkeypatch.setattr(sh.AlgebraSpec, name, counted)
-    report = sh.check_graded_theorem(_fixture_algebra(), [("y",), ("x", "x")], h=2, d=8, D=16)
+    report = sh.check_graded_theorem(fixture_algebra(), [("y",), ("x", "x")], h=2, d=8, D=16)
     assert report.witnessed and report.rank_joint == 3414
     assert calls == []
     report = sh.is_shirshov_base(_free_algebra(), [("y",), ("x", "x")], h=2, d=3)
@@ -752,7 +740,7 @@ def test_witnessed_graded_check_decodes_no_monomial(monkeypatch):
 def test_echelon_letter_cap_pinned_on_the_fixture(monkeypatch, check, letters, ranks):
     # At d = 8 the pivots of the fixture's check on {y, xx} hold exactly
     # these letters: a cap of that many passes, one less raises.
-    args = (_fixture_algebra(), [("y",), ("x", "x")])
+    args = (fixture_algebra(), [("y",), ("x", "x")])
     monkeypatch.setattr(sh.rewriting, "NF_LETTER_CAP", letters)
     report = check(*args, h=2, d=8, D=16)
     assert (report.rank_products, report.rank_joint) == ranks
@@ -764,13 +752,13 @@ def test_echelon_letter_cap_pinned_on_the_fixture(monkeypatch, check, letters, r
 def _branching_algebra():
     # y x -> 2 x y + 1/3 x over Q: every rewrite forks.
     rule = sh.RewriteRule(("y", "x"), ((("x", "y"), Fraction(2)), (("x",), Fraction(1, 3))))
-    return sh.AlgebraSpec(_z2_alphabet(), [rule], sh.RationalField())
+    return sh.AlgebraSpec(z2_alphabet(), [rule], sh.RationalField())
 
 
 @pytest.mark.parametrize("algebra, check, base, hdD, work", [
-    pytest.param(_fixture_algebra, sh.is_shirshov_base, [("x",), ("y",)], (2, 8, 16),
+    pytest.param(fixture_algebra, sh.is_shirshov_base, [("x",), ("y",)], (2, 8, 16),
                  (130_918, 116, 130_678), id="fixture-base"),
-    pytest.param(_fixture_algebra, sh.check_graded_theorem, [("y",), ("x", "x")], (2, 8, 16),
+    pytest.param(fixture_algebra, sh.check_graded_theorem, [("y",), ("x", "x")], (2, 8, 16),
                  (2_712_807, 6_907, 2_698_836), id="fixture-graded"),
     pytest.param(_branching_algebra, sh.is_shirshov_base, [("x",), ("y",)], (2, 5, 10),
                  (495, 0, 0), id="branching-base"),
@@ -807,7 +795,7 @@ def test_engine_work_pinned_on_the_workloads(monkeypatch, algebra, check, base, 
 
 def test_graded_fixture_witnessed_with_height_five():
     rep = sh.check_graded_theorem(
-        _fixture_algebra(), [("y",), ("x", "x")], h=2, d=6, D=12
+        fixture_algebra(), [("y",), ("x", "x")], h=2, d=6, D=12
     )
     assert rep.verdict == sh.WITNESSED
     assert rep.height == sh.height_bound(2, 2) == 5
@@ -818,7 +806,7 @@ def test_graded_fixture_witnessed_with_height_five():
 
 
 def test_graded_insufficient_neutral_base():
-    rep = sh.check_graded_theorem(_fixture_algebra(), [("y",)], h=2, d=4, D=8)
+    rep = sh.check_graded_theorem(fixture_algebra(), [("y",)], h=2, d=4, D=8)
     assert rep.verdict == sh.NOT_WITNESSED
     assert ("x", "x") in rep.neutral.missing
     assert ("x", "x") in rep.missing
@@ -826,7 +814,7 @@ def test_graded_insufficient_neutral_base():
 
 def test_graded_rejects_non_identity_grade_base():
     with pytest.raises(ValueError, match="not the identity"):
-        sh.check_graded_theorem(_fixture_algebra(), [("x",)], h=2, d=4)
+        sh.check_graded_theorem(fixture_algebra(), [("x",)], h=2, d=4)
 
 
 def test_graded_trivial_group_reduces_to_plain_check():
@@ -848,7 +836,7 @@ def test_graded_phase_one_restricts_to_identity_grade_words():
     # d=3 the only identity-grade irreducible words are y-, yx²-like; the
     # grade-1 word x³ may only be charged to phase (ii).
     rep = sh.check_graded_theorem(
-        _fixture_algebra(), [("y",), ("x", "x")], h=2, d=3, D=12
+        fixture_algebra(), [("y",), ("x", "x")], h=2, d=3, D=12
     )
     assert rep.neutral.verdict == sh.WITNESSED
     assert rep.verdict == sh.WITNESSED
@@ -856,7 +844,7 @@ def test_graded_phase_one_restricts_to_identity_grade_words():
 
 def test_report_json_shape():
     rep = sh.check_graded_theorem(
-        _fixture_algebra(), [("y",), ("x", "x")], h=2, d=4, D=8
+        fixture_algebra(), [("y",), ("x", "x")], h=2, d=4, D=8
     )
     doc = sh.report_to_json(rep)
     assert doc["verdict"] == "witnessed-spanning"
@@ -884,12 +872,12 @@ def test_report_flags_unconfluent_presentation():
     rep = sh.is_shirshov_base(alg, [("x",), ("y",), ("z",)], h=3, d=3)
     assert rep.confluent is False
     assert sh.report_to_json(rep)["confluent"] is False
-    assert sh.is_shirshov_base(_fixture_algebra(), [("x",), ("y",)], h=2, d=3).confluent
+    assert sh.is_shirshov_base(fixture_algebra(), [("x",), ("y",)], h=2, d=3).confluent
 
 
 def test_field_agreement_on_fixture():
     for make, S, kwargs in (
-        (_fixture_algebra, [("x",), ("y",)], dict(h=2, d=6, D=12)),
+        (fixture_algebra, [("x",), ("y",)], dict(h=2, d=6, D=12)),
         (_free_algebra, [("x",), ("y",)], dict(h=2, d=3, D=6)),
     ):
         rp = sh.is_shirshov_base(make(sh.PrimeField()), S, **kwargs)
@@ -905,7 +893,7 @@ def test_factorization_consistency_with_graded_check():
     # bound certified by the graded check, and its A-segments have grade e.
     import itertools
 
-    alg = _fixture_algebra()
+    alg = fixture_algebra()
     alpha = alg.alphabet
     h = 2
     bound = sh.height_bound(h, alpha.group.order)

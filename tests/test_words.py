@@ -7,10 +7,7 @@ import pytest
 
 import shirshov as sh
 
-
-def _z2_alphabet():
-    group = sh.build_group(sh.cyclic(2))
-    return sh.GradedAlphabet(group, [("x", 1), ("y", 0)])
+from fixture_algebras import z2_alphabet
 
 
 def test_alphabet_validation():
@@ -23,7 +20,7 @@ def test_alphabet_validation():
         sh.GradedAlphabet(group, [("x", 2)])
     with pytest.raises(ValueError, match="symbols must be nonempty"):
         sh.GradedAlphabet(group, [("x", 0), ("", 1)])
-    alpha = _z2_alphabet()
+    alpha = z2_alphabet()
     assert alpha.symbols == ("x", "y")
     with pytest.raises(ValueError, match="unknown symbol"):
         alpha.grade("z")
@@ -34,14 +31,14 @@ def test_alphabet_validation():
 
 
 def test_grade_of_examples():
-    alpha = _z2_alphabet()
+    alpha = z2_alphabet()
     assert sh.grade_of(alpha, ("x", "x", "y")) == 0
     assert sh.grade_of(alpha, ()) == 0
     assert sh.grade_of(alpha, ("x", "y")) == 1
 
 
 def test_factorize_main_example():
-    fact = sh.factorize(_z2_alphabet(), ("x", "x", "x", "y"))
+    fact = sh.factorize(z2_alphabet(), ("x", "x", "x", "y"))
     assert [(s.tag, s.start, s.end) for s in fact.segments] == \
         [("Y", 1, 1), ("A", 2, 4)]
     assert fact.k == 1
@@ -49,7 +46,7 @@ def test_factorize_main_example():
 
 
 def test_factorize_all_identity_grades():
-    alpha = _z2_alphabet()
+    alpha = z2_alphabet()
     fact = sh.factorize(alpha, ("y",) * 6)
     assert [(s.tag, s.start, s.end) for s in fact.segments] == [("A", 1, 6)]
     assert fact.k == 1 and fact.y_total == 0
@@ -66,7 +63,7 @@ def test_factorize_all_leftover():
 
 
 def test_factorize_empty_word():
-    fact = sh.factorize(_z2_alphabet(), ())
+    fact = sh.factorize(z2_alphabet(), ())
     assert fact.segments == ()
     assert fact.k == 0 and fact.y_total == 0
 
@@ -94,7 +91,7 @@ def test_factorize_inputs_and_unknown_symbol():
 def test_factorize_merges_adjacent_intervals():
     # Grades 0,0,1,1 have adjacent identity-product intervals; the optimal
     # decomposition takes the whole word, so one A-segment comes back.
-    fact = sh.factorize(_z2_alphabet(), ("y", "y", "x", "x"))
+    fact = sh.factorize(z2_alphabet(), ("y", "y", "x", "x"))
     assert [(s.tag, s.start, s.end) for s in fact.segments] == [("A", 1, 4)]
     assert fact.k == 1
 
@@ -114,7 +111,7 @@ def test_factorize_a_segments_are_the_decomposition_intervals():
 
 
 def test_power_count_examples():
-    fact = sh.factorize(_z2_alphabet(), ("x", "x", "x", "y"))
+    fact = sh.factorize(z2_alphabet(), ("x", "x", "x", "y"))
     assert sh.power_count(fact, 2) == 3
     with pytest.raises(ValueError):
         sh.power_count(fact, 0)
@@ -145,7 +142,7 @@ def test_verify_factorization_clean_on_factorize_output():
 
 
 def test_verify_flags_bad_a_segment_grade():
-    alpha = _z2_alphabet()
+    alpha = z2_alphabet()
     word = ("x", "y")
     fact = sh.Factorization(segments=(sh.Segment("A", 1, 2),))
     rep = sh.verify_factorization(alpha, word, fact)
@@ -174,7 +171,7 @@ def test_verify_names_the_grade_of_a_bad_a_segment():
 
 def test_verify_rejects_unknown_symbols_like_factorize():
     # The unknown letter sits in a Y-segment, which no grade check reads.
-    alpha = _z2_alphabet()
+    alpha = z2_alphabet()
     word = ("w", "y")
     fact = sh.Factorization(segments=(sh.Segment("Y", 1, 1), sh.Segment("A", 2, 2)))
     with pytest.raises(ValueError) as expected:
@@ -185,7 +182,7 @@ def test_verify_rejects_unknown_symbols_like_factorize():
 
 
 def test_verify_flags_unmerged_a_segments():
-    alpha = _z2_alphabet()
+    alpha = z2_alphabet()
     word = ("y", "y")
     fact = sh.Factorization(segments=(sh.Segment("A", 1, 1), sh.Segment("A", 2, 2)))
     rep = sh.verify_factorization(alpha, word, fact)
@@ -202,12 +199,12 @@ def test_verify_flags_unmerged_a_segments():
       "3 A-segments, more than |G|=2.")),
 ], ids=["bad-tag", "gap", "too-many-a"])
 def test_verify_factorization_violations(segments, violations):
-    rep = sh.verify_factorization(_z2_alphabet(), ("y", "y", "y"), sh.Factorization(segments))
+    rep = sh.verify_factorization(z2_alphabet(), ("y", "y", "y"), sh.Factorization(segments))
     assert rep.violations == violations
 
 
 def test_verify_adjacent_segment_messages():
-    alpha = _z2_alphabet()
+    alpha = z2_alphabet()
     word = ("y", "y", "x", "y")
     fact = sh.Factorization(segments=(
         sh.Segment("A", 1, 1), sh.Segment("A", 2, 2),
@@ -231,7 +228,7 @@ def test_verify_adjacent_segment_messages():
 def test_verify_reports_a_non_int_endpoint_once(segments, bad):
     # factorization_from_json would reject each of these; the verifier
     # reports the segment once and runs no other check on it.
-    alpha = _z2_alphabet()
+    alpha = z2_alphabet()
     word = ("x", "x", "y")
     rep = sh.verify_factorization(alpha, word, sh.Factorization(segments))
     assert rep.violations == (f"segment {bad} has an endpoint that is not an int.",)
@@ -240,7 +237,7 @@ def test_verify_reports_a_non_int_endpoint_once(segments, bad):
 
 
 def test_verify_flags_partition_gap():
-    alpha = _z2_alphabet()
+    alpha = z2_alphabet()
     word = ("y", "y", "y")
     fact = sh.Factorization(segments=(sh.Segment("A", 1, 2),))
     rep = sh.verify_factorization(alpha, word, fact)
@@ -322,7 +319,7 @@ def test_word_json():
 
 
 def test_factorization_json_round_trip():
-    fact = sh.factorize(_z2_alphabet(), ("x", "x", "x", "y"))
+    fact = sh.factorize(z2_alphabet(), ("x", "x", "x", "y"))
     doc = sh.factorization_to_json(fact)
     assert doc == [{"tag": "Y", "span": [1, 1]}, {"tag": "A", "span": [2, 4]}]
     assert sh.factorization_from_json(doc) == fact
