@@ -55,28 +55,32 @@ class Interval(NamedTuple):
 
 
 class GradeSequence:
-    """A finite-group-valued sequence; positions are 1-based."""
+    """A finite-group-valued sequence; positions are 1-based.
+
+    elems is the sequence's own read-only copy of the given elements, in the
+    Cayley table's dtype (int32), whether they came as an array or as ints.
+    """
 
     def __init__(self, group: FiniteGroup, elems: Sequence[int] | np.ndarray):
         m = group.order
         if isinstance(elems, np.ndarray):
             if elems.ndim != 1 or not np.issubdtype(elems.dtype, np.integer):
                 raise ValueError("elems array must be one-dimensional and integral.")
-            if elems.size and (bad := np.flatnonzero((elems < 0) | (elems >= m))).size:
-                pos = int(bad[0])
+            if elems.size and (int(elems.min()) < 0 or int(elems.max()) >= m):
+                pos = int(np.flatnonzero((elems < 0) | (elems >= m))[0])
                 raise ValueError(
                     f"element {int(elems[pos])} at position {pos + 1} "
                     f"out of range [0,{m - 1}]."
                 )
-            self.elems: Sequence[int] | np.ndarray = elems
         else:
-            vals = tuple(elems)
-            for pos, g in enumerate(vals):
+            elems = tuple(elems)
+            for pos, g in enumerate(elems):
                 if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < m:
                     raise ValueError(
                         f"element {g!r} at position {pos + 1} out of range [0,{m - 1}]."
                     )
-            self.elems = vals
+        self.elems: np.ndarray = np.array(elems, dtype=group.cayley.dtype)
+        self.elems.flags.writeable = False
         self.group = group
 
     def __len__(self) -> int:
@@ -116,9 +120,10 @@ def lemma_bound(n: int, m: int) -> int:
 def prefix_products(seq: GradeSequence) -> np.ndarray:
     """All prefix products f(0) = e, f(k) = g_1 * ... * g_k, as one numpy array."""
     # The table's dtype is wide enough for the flat index a*m + b.  Each block
-    # of _BLOCK elements is scanned on its own and then left-multiplied by the
-    # prefix before it, one gather through that element's table row, so the
-    # scan's temporaries are bounded by the block, not by n.
+    # of _BLOCK elements is scanned on its own, so the scan's temporaries are
+    # bounded by the block, not by n.  The prefix before a block is folded
+    # into its first element, one scalar lookup, and the scan carries it
+    # through the rest of the block.
     cayley = seq.group.cayley
     flat = cayley.ravel()
     out = np.empty(len(seq.elems) + 1, dtype=cayley.dtype)
@@ -126,8 +131,8 @@ def prefix_products(seq: GradeSequence) -> np.ndarray:
     out[1:] = seq.elems
     for lo in range(1, len(out), _BLOCK):
         blk = out[lo : lo + _BLOCK]
+        blk[0] = cayley[out[lo - 1], blk[0]]
         _scan_pairs(flat, len(cayley), blk)
-        cayley[out[lo - 1]].take(blk, out=blk)
     return out
 
 
@@ -329,7 +334,7 @@ def sequence_to_json(seq: GradeSequence) -> dict:
         raise ValueError("sequence group has no serializable spec.")
     return {
         "group": spec_to_json(seq.group.spec),
-        "elems": [int(g) for g in seq.elems],
+        "elems": seq.elems.tolist(),
     }
 
 

@@ -30,7 +30,7 @@ def decompose_bruteforce(seq: sh.GradeSequence) -> Decomposition:
         raise ValueError(f"oracle limit exceeded: n={n} > {ORACLE_LIMIT}.")
     m = seq.group.order
     flat = memoryview(seq.group.cayley.ravel())
-    elems = tuple(seq.elems)
+    elems = seq.elems.tolist()
     memo: dict[int, int] = {n + 1: 0}
 
     def rec(i: int) -> int:
@@ -252,8 +252,44 @@ def test_sequence_validates_elements():
             sh.GradeSequence(z2, elems)
     with pytest.raises(ValueError, match=re.escape("element 5 at position 2 out of range [0,1].")):
         sh.GradeSequence(z2, np.array([1, 5]))
+    c17 = sh.build_group(sh.cyclic(17))
+    for given, message in ((np.array([3, -2, 20], dtype=np.int8), "element -2 at position 2"),
+                           (np.array([1, 2, 2 ** 64 - 1], dtype=np.uint64),
+                            f"element {2 ** 64 - 1} at position 3")):
+        with pytest.raises(ValueError, match=re.escape(f"{message} out of range [0,16].")):
+            sh.GradeSequence(c17, given)
     with pytest.raises(ValueError, match="no serializable spec"):
         sh.sequence_to_json(sh.GradeSequence(sh.FiniteGroup([[0]]), [0]))
+
+
+@pytest.mark.parametrize("kind", ["int64", "int8", "uint64", "list"])
+def test_sequence_keeps_a_read_only_int32_copy(kind):
+    group = sh.build_group(sh.cyclic(17))
+    n = 1000
+    values = np.random.default_rng(5).integers(0, group.order, size=n)
+    given = values.tolist() if kind == "list" else values.astype(kind)
+    seq = sh.GradeSequence(group, given)
+    assert seq.elems.dtype == group.cayley.dtype
+    assert not seq.elems.flags.writeable
+    assert not np.shares_memory(seq.elems, given)
+    assert seq.elems.nbytes == 4 * n
+    assert seq.elems.tolist() == values.tolist()
+
+
+def test_writes_to_the_given_array_do_not_reach_the_sequence():
+    # The sequence is checked once, when it is built: a later write to the
+    # caller's array must not change what decompose, verify or the JSON see.
+    group = sh.build_group(sh.cyclic(17))
+    a = np.array([1, 16, 0, 5])
+    seq = sh.GradeSequence(group, a)
+    dec = sh.decompose_optimal(seq)
+    report = sh.verify_decomposition(seq, dec)
+    doc = sh.sequence_to_json(seq)
+    assert doc == {"group": {"cyclic": 17}, "elems": [1, 16, 0, 5]}
+    a[1] = 20
+    assert sh.decompose_optimal(seq) == dec
+    assert sh.verify_decomposition(seq, dec) == report
+    assert sh.sequence_to_json(seq) == doc
 
 
 def test_oracle_equivalence_small_exhaustive():
