@@ -1,7 +1,12 @@
-"""The one reader of JSON payloads: each check returns its value or raises ValueError.
+"""The one reader of JSON payloads and of the library's arguments: each check
+returns its value or raises ValueError.
 
-`what` names the value in the message.  An array's `item` is called as
-item(entry, what) on each entry, so checks nest.
+Payload fields and public arguments (counts, indices, degrees, heights, caps,
+budgets, generator symbols) are read by the same checks, so both give the
+same message, "<what> must be an integer >= 1, got 0.".  An int is what
+is_int accepts: an int or int subclass, but not a bool; a float, a string or
+a numpy integer is not one.  `what` names the value in the message.  An
+array's `item` is called as item(entry, what) on each entry, so checks nest.
 """
 
 from __future__ import annotations
@@ -21,9 +26,14 @@ def fields(x: object, what: str, required=(), optional=()) -> dict:
     return x
 
 
+def is_int(x: object) -> bool:
+    """Whether x is an int: JSON and argparse give plain ints, and bools are not ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def integer(x: object, what: str, lo: int | None = None, hi: int | None = None) -> int:
-    """A JSON integer, not a boolean, in [lo, hi]; None leaves that side open."""
-    if type(x) is int and (lo is None or x >= lo) and (hi is None or x <= hi):
+    """An int (see is_int) in [lo, hi]; None leaves that side open."""
+    if is_int(x) and (lo is None or x >= lo) and (hi is None or x <= hi):
         return x
     if lo is not None and hi is not None:
         span = f" in [{lo},{hi}]"

@@ -51,25 +51,18 @@ class GroupSpec:
 
 def cyclic(n: int) -> GroupSpec:
     """Additive group of residues mod n."""
-    if n < 1:
-        raise ValueError(f"cyclic group order must be >= 1, got {n}.")
-    return GroupSpec(kind="cyclic", n=n)
+    return GroupSpec(kind="cyclic", n=_wire.integer(n, "cyclic order", 1))
 
 
 def dihedral(n: int) -> GroupSpec:
     """Symmetries of the regular n-gon (order 2n), n >= 2."""
-    if n < 2:
-        raise ValueError(f"dihedral degree must be >= 2, got {n}.")
-    return GroupSpec(kind="dihedral", n=n)
+    return GroupSpec(kind="dihedral", n=_wire.integer(n, "dihedral degree", 2))
 
 
 def symmetric(n: int) -> GroupSpec:
     """Permutations of n points, restricted to n <= 6 to keep tables desk-scale."""
-    if not 1 <= n <= MAX_SYMMETRIC_DEGREE:
-        raise ValueError(
-            f"symmetric degree must be in [1, {MAX_SYMMETRIC_DEGREE}], got {n}."
-        )
-    return GroupSpec(kind="symmetric", n=n)
+    return GroupSpec(kind="symmetric",
+                     n=_wire.integer(n, "symmetric degree", 1, MAX_SYMMETRIC_DEGREE))
 
 
 def product(left: GroupSpec, right: GroupSpec) -> GroupSpec:
@@ -143,22 +136,17 @@ class FiniteGroup:
         self.names = names
         self.spec = spec
 
-    def _check_index(self, a: int) -> None:
-        if not isinstance(a, (int,)) or isinstance(a, bool) or not 0 <= a < self.order:
-            raise ValueError(f"element index {a!r} out of range [0,{self.order - 1}].")
+    def _index(self, a: int) -> int:
+        return _wire.integer(a, "element index", 0, self.order - 1)
 
     def mul(self, a: int, b: int) -> int:
-        self._check_index(a)
-        self._check_index(b)
-        return self.cayley.item(a, b)
+        return self.cayley.item(self._index(a), self._index(b))
 
     def inverse(self, a: int) -> int:
-        self._check_index(a)
-        return self.inv_table[a]
+        return self.inv_table[self._index(a)]
 
     def name_of(self, a: int) -> str:
-        self._check_index(a)
-        return self.names[a]
+        return self.names[self._index(a)]
 
     def __repr__(self) -> str:
         kind = self.spec.kind if self.spec is not None else "table"
@@ -263,11 +251,11 @@ def spec_from_json(obj: object) -> GroupSpec:
         raise ValueError(f"group spec must name exactly one kind, got {obj!r}.")
     (kind, arg), = obj.items()
     if kind == "cyclic":
-        return cyclic(_wire.integer(arg, "cyclic order"))
+        return cyclic(arg)
     if kind == "dihedral":
-        return dihedral(_wire.integer(arg, "dihedral degree"))
+        return dihedral(arg)
     if kind == "symmetric":
-        return symmetric(_wire.integer(arg, "symmetric degree"))
+        return symmetric(arg)
     if kind == "product":
         left, right = _wire.array(arg, '"product"', length=2)
         return product(spec_from_json(left), spec_from_json(right))

@@ -73,6 +73,7 @@ class GradeSequence:
                     f"out of range [0,{m - 1}]."
                 )
         else:
+            # _wire.is_int written inline: this runs once per element.
             elems = tuple(elems)
             for pos, g in enumerate(elems):
                 if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < m:
@@ -110,11 +111,7 @@ class DecompositionReport:
 
 def lemma_bound(n: int, m: int) -> int:
     """Guaranteed coverage max(0, n - m + 1) for length n over a group of order m."""
-    if n < 0:
-        raise ValueError(f"sequence length must be >= 0, got {n}.")
-    if m < 1:
-        raise ValueError(f"group order must be >= 1, got {m}.")
-    return max(0, n - m + 1)
+    return max(0, _wire.integer(n, "sequence length", 0) - _wire.integer(m, "group order", 1) + 1)
 
 
 def prefix_products(seq: GradeSequence) -> np.ndarray:
@@ -282,11 +279,11 @@ def verify_decomposition(seq: GradeSequence, dec: Decomposition) -> Decompositio
     n = len(seq)
     violations: list[str] = []
 
-    # Plain ints only, as _wire reads them: a bool, float or numpy integer fails.
+    # Ints only, as _wire reads them: a bool, float or numpy integer fails.
     shaped: list[Interval] = []
     for iv in dec.intervals:
         a, b = iv
-        if type(a) is not int or type(b) is not int or a > b or a < 1 or b > n:
+        if not (_wire.is_int(a) and _wire.is_int(b)) or a > b or a < 1 or b > n:
             violations.append(f"interval [{a!r},{b!r}] out of range for n={n}.")
         else:
             shaped.append(Interval(a, b))
@@ -307,14 +304,14 @@ def verify_decomposition(seq: GradeSequence, dec: Decomposition) -> Decompositio
 
     # A rejected interval is one fault: the count and the complement are only
     # checked against a set of intervals that are all well formed.
-    coverage_ok = type(dec.coverage) is int
+    coverage_ok = _wire.is_int(dec.coverage)
     if len(shaped) == len(dec.intervals):
         total = int((ends[:, 1] - ends[:, 0] + 1).sum())
         if not coverage_ok or dec.coverage != total:
             violations.append(
                 f"coverage miscount: stated {dec.coverage!r}, intervals cover {total}."
             )
-        if (any(type(p) is not int for p in dec.uncovered)
+        if (not all(map(_wire.is_int, dec.uncovered))
                 or list(dec.uncovered) != _complement(in_order, n)):
             violations.append("uncovered positions do not match the complement.")
 

@@ -106,7 +106,7 @@ class PrimeField:
     _elements = (int,)
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if not isinstance(p, int) or p >= 2**64 or not _is_prime(p):
+        if not _wire.is_int(p) or p >= 2**64 or not _is_prime(p):
             raise ValueError(f"field modulus must be a prime below 2^64, got {p!r}.")
         self.p = p
         self.zero = 0
@@ -481,10 +481,9 @@ def _rewrite(spec: AlgebraSpec, pending: dict, steps: int, budget: int) -> tuple
 
 
 def _check_budget(step_budget: int | None) -> int:
-    budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
-    if budget < 1:
-        raise ValueError(f"step budget must be >= 1, got {budget}.")
-    return budget
+    if step_budget is None:
+        return DEFAULT_STEP_BUDGET
+    return _wire.integer(step_budget, "step budget", 1)
 
 
 @dataclass(frozen=True)
@@ -656,7 +655,8 @@ def normalize(
     mono = spec._encode(w)
     if not spec.rules:
         return {w if memo is None else mono: spec.field.one}
-    if memo is not None and check_confluence(spec, budget).confluent:
+    # Passed unread, the default budget skips check_confluence's read.
+    if memo is not None and check_confluence(spec, step_budget).confluent:
         return spec._export(memo._fold(spec, mono, budget))
     form = _rewrite(spec, {mono: [spec._ring.one, 0]}, 0, budget)[0]
     return spec._decode(form) if memo is None else spec._export(form)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import rewriting
+from . import _wire, rewriting
 from .rewriting import (
     AlgebraSpec,
     LinComb,
@@ -76,8 +76,7 @@ class PoweredProduct:
         for base, exp in self.factors:
             if not base:
                 raise ValueError("powered-product bases must be nonempty words.")
-            if type(exp) is not int or exp < 1:
-                raise ValueError(f"exponent must be an integer >= 1, got {exp!r}.")
+            _wire.integer(exp, "exponent", 1)
         for (a, _), (b, _) in zip(self.factors, self.factors[1:]):
             if a == b:
                 raise ValueError(
@@ -115,10 +114,8 @@ def enumerate_products(
     more than ENUM_CAP, or more than LETTER_CAP letters in their expansions,
     raise ValueError before any is built.
     """
-    if h < 1:
-        raise ValueError(f"height must be >= 1, got {h}.")
-    if D < 1:
-        raise ValueError(f"expansion cap must be >= 1, got {D}.")
+    _wire.integer(h, "height", 1)
+    _wire.integer(D, "expansion cap", 1)
     uniq = list(dict.fromkeys(map(tuple, bases)))
     if () in uniq:
         raise ValueError("base words must be nonempty.")
@@ -487,14 +484,10 @@ def _check_args(
     step_budget: int | None,
 ) -> tuple[list[Word], int]:
     _check_budget(step_budget)  # before any target is enumerated
-    if h < 1:
-        raise ValueError(f"height must be >= 1, got {h}.")
-    if d < 1:
-        raise ValueError(f"degree cap must be >= 1, got {d}.")
-    if D is None:
-        D = 2 * d
-    if D < d:
-        raise ValueError(f"expansion cap D={D} must be >= degree cap d={d}.")
+    _wire.integer(h, "height", 1)
+    _wire.integer(d, "degree cap", 1)
+    # The expansion cap is at least the degree cap.
+    D = _wire.integer(2 * d if D is None else D, "expansion cap", d)
     bases = []
     for w in S:
         w = tuple(w)

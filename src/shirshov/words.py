@@ -43,7 +43,7 @@ class GradedAlphabet:
     """Ordered generator symbols with grades in a finite group."""
 
     def __init__(self, group: FiniteGroup, generators: Sequence[tuple[str, int]]):
-        gens = tuple((str(sym), grade) for sym, grade in generators)
+        gens = tuple((_wire.string(sym, "generator symbol"), grade) for sym, grade in generators)
         if not gens:
             raise ValueError("an alphabet needs at least one generator.")
         grades: dict[str, int] = {}
@@ -52,12 +52,7 @@ class GradedAlphabet:
                 raise ValueError("generator symbols must be nonempty.")
             if sym in grades:
                 raise ValueError(f"duplicate generator symbol {sym!r}.")
-            if not isinstance(grade, int) or isinstance(grade, bool) \
-                    or not 0 <= grade < group.order:
-                raise ValueError(
-                    f"grade {grade!r} of {sym!r} out of range [0,{group.order - 1}]."
-                )
-            grades[sym] = grade
+            grades[sym] = _wire.integer(grade, f"grade of {sym!r}", 0, group.order - 1)
         self.group = group
         self.generators = gens
         self._grades = grades
@@ -150,18 +145,12 @@ def power_count(fact: Factorization, h: int) -> int:
     Each A-segment contributes at most h powers of base-set elements and each
     Y-segment one power per letter, giving h*k + sum of Y-segment lengths.
     """
-    if h < 1:
-        raise ValueError(f"height must be >= 1, got {h}.")
-    return h * fact.k + fact.y_total
+    return _wire.integer(h, "height", 1) * fact.k + fact.y_total
 
 
 def height_bound(h: int, m: int) -> int:
     """Height (h+1)*m - 1 reached over a grading group of order m."""
-    if h < 1:
-        raise ValueError(f"height must be >= 1, got {h}.")
-    if m < 1:
-        raise ValueError(f"group order must be >= 1, got {m}.")
-    return (h + 1) * m - 1
+    return (_wire.integer(h, "height", 1) + 1) * _wire.integer(m, "group order", 1) - 1
 
 
 @dataclass(frozen=True)
@@ -184,9 +173,9 @@ def verify_factorization(
     group = alphabet.group
     m = group.order
     f = prefix_products(_grade_sequence(alphabet, word))
-    # Plain int endpoints only, as factorization_from_json reads them: any
-    # other segment is one violation, ends the partition walk, and is dropped.
-    plain = [type(s.start) is int and type(s.end) is int for s in fact.segments]
+    # Int endpoints only, as factorization_from_json reads them: any other
+    # segment is one violation, ends the partition walk, and is dropped.
+    plain = [_wire.is_int(s.start) and _wire.is_int(s.end) for s in fact.segments]
     violations = [f"segment [{s.start!r},{s.end!r}] has an endpoint that is not an int."
                   for s, ok in zip(fact.segments, plain) if not ok]
     kept = Factorization(tuple(s for s, ok in zip(fact.segments, plain) if ok))
@@ -245,7 +234,7 @@ def alphabet_from_json(obj: object) -> GradedAlphabet:
     pairs = []
     for g in _wire.array(obj["generators"], '"generators"'):
         g = _wire.fields(g, "generator", required=("sym", "grade"))
-        pairs.append((_wire.string(g["sym"], "generator symbol"), g["grade"]))
+        pairs.append((g["sym"], g["grade"]))
     return GradedAlphabet(group, pairs)
 
 

@@ -135,7 +135,7 @@ def test_mul_rejects_bools_and_non_ints():
     for bad in (True, False, 2.0, "2", None, np.int64(1)):
         with pytest.raises(ValueError) as err:
             g.mul(1, bad)
-        assert str(err.value) == f"element index {bad!r} out of range [0,5]."
+        assert str(err.value) == f"element index must be an integer in [0,5], got {bad!r}."
     # An int subclass other than bool is an int.
     Small = type("Small", (int,), {})
     assert g.mul(Small(1), 2) == g.mul(1, 2)

@@ -201,9 +201,9 @@ def test_lemma_bound_examples():
     assert sh.lemma_bound(0, 5) == 0
     assert sh.lemma_bound(4, 2) == 3
     assert sh.lemma_bound(1, 8) == 0
-    with pytest.raises(ValueError, match="sequence length must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="sequence length must be an integer >= 0, got -1"):
         sh.lemma_bound(-1, 2)
-    with pytest.raises(ValueError, match="group order must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="group order must be an integer >= 1, got 0"):
         sh.lemma_bound(1, 0)
 
 

@@ -561,7 +561,7 @@ def test_argument_validation():
     # A bad budget is rejected before the targets are enumerated, which at
     # d = 20 over the free algebra would trip the degree cap's guard.
     for check in (sh.is_shirshov_base, sh.check_graded_theorem):
-        with pytest.raises(ValueError, match="step budget must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="step budget must be an integer >= 1, got 0"):
             check(_free_algebra(), [("y",)], 1, 20, step_budget=0)
 
 

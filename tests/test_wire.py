@@ -5,12 +5,16 @@ import contextlib
 import copy
 import io
 import json
+import re
 
+import numpy as np
 import pytest
 
 import shirshov as sh
-from shirshov import _wire
+from shirshov import _wire, cli
 from shirshov.cli import EXIT_BAD_INPUT, main
+
+from fixture_algebras import fixture_algebra
 
 ALPHABET = {
     "group": {"cyclic": 2},
@@ -142,3 +146,78 @@ def test_array():
         _wire.array([1, False], "pair", _wire.integer, 2)
     with pytest.raises(ValueError, match="pair must be a list"):
         _wire.array("ab", "pair")
+
+
+def _library_sites():
+    """(parameter name, call) for every public count the library reads."""
+    s3 = sh.build_group(sh.symmetric(3))
+    c4 = sh.build_group(sh.cyclic(4))
+    spec = fixture_algebra()
+    S = [("x",), ("y",)]
+    fact = sh.factorize(spec.alphabet, ("x", "x"))
+    return {
+        "cyclic": ("cyclic order", sh.cyclic),
+        "dihedral": ("dihedral degree", sh.dihedral),
+        "symmetric": ("symmetric degree", sh.symmetric),
+        "mul-left": ("element index", lambda x: s3.mul(x, 1)),
+        "mul-right": ("element index", lambda x: s3.mul(1, x)),
+        "inverse": ("element index", s3.inverse),
+        "name_of": ("element index", s3.name_of),
+        "lemma_bound-n": ("sequence length", lambda x: sh.lemma_bound(x, 2)),
+        "lemma_bound-m": ("group order", lambda x: sh.lemma_bound(5, x)),
+        "alphabet-grade": ("grade of 'x'", lambda x: sh.GradedAlphabet(c4, [("x", x)]).generators),
+        "power_count": ("height", lambda x: sh.power_count(fact, x)),
+        "height_bound-h": ("height", lambda x: sh.height_bound(x, 2)),
+        "height_bound-m": ("group order", lambda x: sh.height_bound(2, x)),
+        "normalize": ("step budget", lambda x: sh.normalize(spec, ("x", "y"), x)),
+        "check_confluence": ("step budget", lambda x: sh.check_confluence(spec, x)),
+        "exponent": ("exponent", lambda x: sh.PoweredProduct(((("x",), x),))),
+        "enumerate-h": ("height", lambda x: sh.enumerate_products(S, x, 4)),
+        "enumerate-D": ("expansion cap", lambda x: sh.enumerate_products(S, 2, x)),
+        **{f"{check.__name__}-{name}": (what, lambda x, check=check, name=name:
+                                         check(spec, [("y",)], **{"h": 1, "d": 1, name: x}))
+           for check in (sh.is_shirshov_base, sh.check_graded_theorem)
+           for name, what in (("h", "height"), ("d", "degree cap"), ("D", "expansion cap"),
+                              ("step_budget", "step budget"))},
+    }
+
+
+LIBRARY_SITES = _library_sites()
+
+
+@pytest.mark.parametrize("site", LIBRARY_SITES)
+def test_library_counts_are_read_as_ints(site):
+    what, call = LIBRARY_SITES[site]
+    for bad in (True, 2.5, "3", np.int64(3)):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+            call(bad)
+    # An int subclass other than bool is an int.
+    Small = type("Small", (int,), {})
+    assert call(Small(3)) == call(3)
+
+
+def test_generator_symbols_are_read_as_strings():
+    group = sh.build_group(sh.cyclic(2))
+    for bad in (None, 3, ("x",)):
+        with pytest.raises(ValueError, match=re.escape(f"symbol must be a string, got {bad!r}.")):
+            sh.GradedAlphabet(group, [(bad, 0)])
+    Name = type("Name", (str,), {})
+    assert sh.GradedAlphabet(group, [(Name("x"), 1)]).symbols == ("x",)
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("stage", ["read", "parse"])
+def test_payload_too_large_for_memory_exits_two(capsys, monkeypatch, tmp_path, stage):
+    path = tmp_path / "payload.json"
+    path.write_text('{"group": {"cyclic": 2}, "elems": [1, 1]}')
+    if stage == "read":
+        monkeypatch.setattr(cli, "open", _out_of_memory, raising=False)
+    else:
+        monkeypatch.setattr(cli.json, "loads", _out_of_memory)
+    code = main(["decompose", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -16,7 +16,7 @@ def test_alphabet_validation():
         sh.GradedAlphabet(group, [])
     with pytest.raises(ValueError, match="duplicate generator"):
         sh.GradedAlphabet(group, [("x", 0), ("x", 1)])
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"grade of 'x' must be an integer in \[0,1\], got 2"):
         sh.GradedAlphabet(group, [("x", 2)])
     with pytest.raises(ValueError, match="symbols must be nonempty"):
         sh.GradedAlphabet(group, [("x", 0), ("", 1)])
