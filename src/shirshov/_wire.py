@@ -2,11 +2,12 @@
 returns its value or raises ValueError.
 
 Payload fields and public arguments (counts, indices, degrees, heights, caps,
-budgets, generator symbols) are read by the same checks, so both give the
-same message, "<what> must be an integer >= 1, got 0.".  An int is what
-is_int accepts: an int or int subclass, but not a bool; a float, a string or
-a numpy integer is not one.  `what` names the value in the message.  An
-array's `item` is called as item(entry, what) on each entry, so checks nest.
+budgets, generator symbols, element names) are read by the same checks, so
+both give the same message, "<what> must be an integer >= 1, got 0.".  An
+int is what is_int accepts: an int or int subclass, but not a bool; a float,
+a string or a numpy integer is not one.  `what` names the value in the
+message.  An array's `item` is called as item(entry, what) on each entry, so
+checks nest.
 """
 
 from __future__ import annotations

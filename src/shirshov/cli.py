@@ -287,12 +287,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # The one place an exception becomes an exit code.  Every check of the
     # input raises ValueError; a payload nested past the recursion limit (a
-    # deep "product" group spec) raises RecursionError.
+    # deep "product" group spec) raises RecursionError; an input whose
+    # arrays or tables do not fit in the memory available raises MemoryError.
     try:
         return args.func(args)
     except (ValueError, RecursionError) as exc:
         code = EXIT_BAD_INPUT
         message = "input nested too deeply." if isinstance(exc, RecursionError) else str(exc)
+    except MemoryError:
+        code = EXIT_BAD_INPUT
+        message = "out of memory: the input needs more memory than is available."
     except StepBudgetExceeded as exc:
         code, message = EXIT_BUDGET, str(exc)
     print(f"error: {message}", file=sys.stderr)

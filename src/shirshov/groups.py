@@ -4,7 +4,9 @@ Elements are plain integer indices in ``[0, order)``.  A group is either
 built from one of the canonical families (cyclic, dihedral, symmetric,
 direct product) or from an explicit multiplication table, which is
 validated for the group axioms at construction time.  Every group holds its
-table as one read-only int32 numpy array, ``cayley``, and nothing else.
+table as one read-only int16 numpy array, ``cayley``, and nothing else.  Its
+entries are elements, which are below MAX_ORDER and so fit int16; a flat
+index a*m + b into it is formed in int32.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ __all__ = [
 ]
 
 MAX_SYMMETRIC_DEGREE = 6
-# Largest order a table is made for: 4096^2 int32 entries are 64 MiB, the
-# group's only table, and every flat index a*m + b fits int32.
+# Largest order a table is made for: every element, at most 4095, fits
+# int16, so 4096^2 entries are 32 MiB, the group's only table; every flat
+# index a*m + b, up to m^2 - 1, fits int32.
 MAX_ORDER = 4096
 
 
@@ -73,12 +76,13 @@ def product(left: GroupSpec, right: GroupSpec) -> GroupSpec:
 def table(entries: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> GroupSpec:
     """Explicit Cayley table; validated for the group axioms when built."""
     rows = tuple(tuple(row) for row in entries)
-    return GroupSpec(
-        kind="table",
-        n=len(rows),
-        entries=rows,
-        names=tuple(names) if names is not None else None,
-    )
+    return GroupSpec(kind="table", n=len(rows), entries=rows, names=_names(names))
+
+
+def _names(names: Sequence[str] | None) -> tuple[str, ...] | None:
+    if names is None:
+        return None
+    return tuple(_wire.string(x, "element name") for x in names)
 
 
 class FiniteGroup:
@@ -110,7 +114,8 @@ class FiniteGroup:
         if len(bad):
             a, b = bad[0]
             raise ValueError(f"table entry at ({a},{b}) is {arr[a, b]}, outside [0,{m - 1}].")
-        cayley = arr.astype(np.int32)
+        # Every entry is now in [0, m) with m <= MAX_ORDER, so it fits int16.
+        cayley = arr.astype(np.int16)
         elems = np.arange(m)
         bad = np.flatnonzero((cayley[0] != elems) | (cayley[:, 0] != elems))
         if len(bad):
@@ -125,7 +130,7 @@ class FiniteGroup:
         bad = np.flatnonzero((cayley[elems, inv] != 0) | (cayley[inv, elems] != 0))
         if len(bad):
             raise ValueError(f"no two-sided inverse for element {bad[0]}.")
-        names = tuple(names) if names is not None else tuple(f"g{k}" for k in range(m))
+        names = tuple(f"g{k}" for k in range(m)) if names is None else _names(names)
         if len(names) != m:
             raise ValueError(f"got {len(names)} names for {m} elements.")
 
@@ -188,9 +193,14 @@ def _check_associativity(cayley: np.ndarray) -> None:
 
 
 def _table(spec: GroupSpec) -> np.ndarray:
-    """The Cayley table of a family spec, made with whole-array numpy steps."""
+    """The Cayley table of a family spec, made with whole-array numpy steps.
+
+    Every value is an element, below the order, which build_group has checked
+    against MAX_ORDER, so the tables are int16 throughout; only the symmetric
+    builder's base-n numerals, up to 6^6, need int32.
+    """
     n = spec.n
-    r = np.arange(n, dtype=np.int32)
+    r = np.arange(n, dtype=np.int16)
     if spec.kind == "cyclic":
         return np.add.outer(r, r) % n
     if spec.kind == "dihedral":
@@ -205,8 +215,8 @@ def _table(spec: GroupSpec) -> np.ndarray:
         # each one's index.  The product p*q is i -> p(q(i)).
         perms = np.array(list(itertools.permutations(range(n))), dtype=np.int32)
         weights = [n ** (n - 1 - i) for i in range(n)]
-        index = np.zeros(n ** n, dtype=np.int32)
-        index[perms @ np.array(weights)] = np.arange(len(perms), dtype=np.int32)
+        index = np.zeros(n ** n, dtype=np.int16)
+        index[perms @ np.array(weights)] = np.arange(len(perms), dtype=np.int16)
         numerals = np.zeros((len(perms), len(perms)), dtype=np.int32)
         for i, w in enumerate(weights):
             numerals += perms[:, perms[:, i]] * w

@@ -58,7 +58,8 @@ class GradeSequence:
     """A finite-group-valued sequence; positions are 1-based.
 
     elems is the sequence's own read-only copy of the given elements, in the
-    Cayley table's dtype (int32), whether they came as an array or as ints.
+    Cayley table's dtype (int16, 2 bytes per element), whether they came as
+    an array or as ints.
     """
 
     def __init__(self, group: FiniteGroup, elems: Sequence[int] | np.ndarray):
@@ -116,11 +117,11 @@ def lemma_bound(n: int, m: int) -> int:
 
 def prefix_products(seq: GradeSequence) -> np.ndarray:
     """All prefix products f(0) = e, f(k) = g_1 * ... * g_k, as one numpy array."""
-    # The table's dtype is wide enough for the flat index a*m + b.  Each block
-    # of _BLOCK elements is scanned on its own, so the scan's temporaries are
-    # bounded by the block, not by n.  The prefix before a block is folded
-    # into its first element, one scalar lookup, and the scan carries it
-    # through the rest of the block.
+    # f is in the table's dtype, int16.  Each block of _BLOCK elements is
+    # scanned on its own, so the scan's temporaries are bounded by the block,
+    # not by n.  The prefix before a block is folded into its first element,
+    # one scalar lookup, and the scan carries it through the rest of the
+    # block.
     cayley = seq.group.cayley
     flat = cayley.ravel()
     out = np.empty(len(seq.elems) + 1, dtype=cayley.dtype)
@@ -137,16 +138,17 @@ def _scan_pairs(flat: np.ndarray, m: int, x: np.ndarray) -> None:
     # Inclusive scan of x in place, pairwise (Blelloch): multiply neighbouring
     # pairs, scan the half-length array of pair products, which gives every
     # odd slot, then fill each even slot from the odd slot before it.  About
-    # 2n table gathers in all.
+    # 2n table gathers in all.  The flat index a*m + b reaches m^2 - 1, past
+    # int16, so it is formed in int32: a plain x * m would stay int16 and wrap.
     n = len(x)
     if n < 2:
         return
-    idx = x[0 : n - 1 : 2] * m
+    idx = np.multiply(x[0 : n - 1 : 2], m, dtype=np.int32)
     idx += x[1::2]
     pairs = flat.take(idx)
     _scan_pairs(flat, m, pairs)
     x[1::2] = pairs
-    idx = pairs[: (n - 1) // 2] * m
+    idx = np.multiply(pairs[: (n - 1) // 2], m, dtype=np.int32)
     idx += x[2::2]
     x[2::2] = flat.take(idx)
 

@@ -116,8 +116,8 @@ def grade_of(alphabet: GradedAlphabet, word: Sequence[str]) -> int:
 def _grade_sequence(alphabet: GradedAlphabet, word: Sequence[str]) -> GradeSequence:
     # Every letter's grade, read once; an unknown symbol raises ValueError.
     try:
-        grades = np.fromiter(map(alphabet._grades.__getitem__, word), dtype=np.int32,
-                             count=len(word))
+        grades = np.fromiter(map(alphabet._grades.__getitem__, word),
+                             dtype=alphabet.group.cayley.dtype, count=len(word))
     except KeyError as err:
         alphabet.grade(err.args[0])  # raises the unknown-symbol ValueError
         raise

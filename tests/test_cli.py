@@ -671,8 +671,8 @@ def test_verify_base_caps_count_the_primitive_bases(capsys):
 
 def test_largest_group_decomposes_under_memory_limit():
     # An 800 MB address-space limit, as under `ulimit -v 800000`: a group of
-    # order MAX_ORDER holds one int32 table, which prefix_products gathers
-    # from in place.
+    # order MAX_ORDER holds one int16 table of 32 MiB, which prefix_products
+    # gathers from in place.
     proc = _run_limited(800_000, "decompose",
                         "--json", json.dumps({"group": {"cyclic": 4096}, "elems": [1]}))
     assert proc.returncode == EXIT_OK, proc.stderr

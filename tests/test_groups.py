@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,16 +186,18 @@ def test_spec_json_rejects_garbage():
 
 def test_cayley_array_matches_table():
     g = sh.build_group(sh.symmetric(4))
-    assert g.cayley.dtype == np.int32
+    assert g.cayley.dtype == np.int16
     assert g.cayley is g.cayley
     with pytest.raises(ValueError):
         g.cayley[0, 0] = 1
 
 
 def test_order_cap_keeps_flat_indices_int32():
-    # Flat indices a*m + b reach m^2 - 1, which must fit int32; the cap is
-    # read off the spec, so no table of an oversized group is ever made.
+    # Elements reach m - 1, which must fit the table's int16, and flat
+    # indices a*m + b reach m^2 - 1, which must fit int32; the cap is read
+    # off the spec, so no table of an oversized group is ever made.
     cap = groups.MAX_ORDER
+    assert cap - 1 <= np.iinfo(np.int16).max
     assert cap ** 2 - 1 <= np.iinfo(np.int32).max
     for spec, order in ((sh.cyclic(cap + 1), cap + 1),
                         (sh.dihedral(cap // 2 + 1), cap + 2),
@@ -228,6 +231,21 @@ def _definition(spec):
     return elements, lambda x, y: (lmul(x[0], y[0]), rmul(x[1], y[1]))
 
 
+def test_largest_table_build_memory_is_bounded():
+    # The table of cyclic(MAX_ORDER) is built, range-checked and tested for
+    # associativity in int16: measured tracemalloc peak 144.3 MiB (numpy
+    # 2.4.6), about 4.5 tables of 32 MiB.  The limit adds 16 MiB, one bool
+    # array of m^2 entries, for other numpy builds.
+    tracemalloc.start()
+    try:
+        g = sh.build_group(sh.cyclic(groups.MAX_ORDER))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.cayley.nbytes == 2 * groups.MAX_ORDER ** 2
+    assert peak <= 160 << 20, peak
+
+
 def test_cayley_matches_definition():
     specs = [sh.cyclic(n) for n in range(1, 13)]
     specs += [sh.dihedral(n) for n in range(2, 9)]
@@ -240,7 +258,7 @@ def test_cayley_matches_definition():
     for spec in specs:
         g = sh.build_group(spec)
         assert g.cayley.tolist() == _table_from_definition(*_definition(spec)), spec
-        assert g.cayley.dtype == np.int32 and not g.cayley.flags.writeable
+        assert g.cayley.dtype == np.int16 and not g.cayley.flags.writeable
 
 
 def test_intercalate_swap_in_s6_rejected_with_a_true_witness():

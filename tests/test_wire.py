@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import shirshov as sh
-from shirshov import _wire, cli
+from shirshov import _wire, cli, groups
 from shirshov.cli import EXIT_BAD_INPUT, main
 
 from fixture_algebras import fixture_algebra
@@ -221,3 +221,35 @@ def test_payload_too_large_for_memory_exits_two(capsys, monkeypatch, tmp_path, s
     out, err = capsys.readouterr()
     assert (code, out) == (EXIT_BAD_INPUT, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NAME_SITES = {
+    "table": lambda x: sh.table([[0, 1], [1, 0]], names=["e", x]).names[1],
+    "FiniteGroup": lambda x: sh.FiniteGroup([[0, 1], [1, 0]], names=["e", x]).name_of(1),
+}
+
+
+@pytest.mark.parametrize("site", NAME_SITES)
+def test_element_names_are_read_as_strings(site):
+    call = NAME_SITES[site]
+    for bad in (None, 3, ("s",)):
+        message = f"element name must be a string, got {bad!r}."
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad)
+    Name = type("Name", (str,), {})
+    assert call(Name("s")) == "s"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--json", '{"group": {"cyclic": 4096}, "elems": [1]}'],
+    ["bench", "--json", '{"group": {"cyclic": 4096}, "n": 10, "trials": 1}'],
+], ids=["decompose", "bench"])
+def test_group_too_large_for_memory_exits_two(capsys, monkeypatch, argv):
+    # Building a large table can run out of memory in the associativity test,
+    # as under `ulimit -v 200000` for cyclic(4096).
+    monkeypatch.setattr(groups, "_check_associativity", _out_of_memory)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import shirshov as sh
+from shirshov.words import _grade_sequence
 
 from fixture_algebras import z2_alphabet
 
@@ -35,6 +36,14 @@ def test_grade_of_examples():
     assert sh.grade_of(alpha, ("x", "x", "y")) == 0
     assert sh.grade_of(alpha, ()) == 0
     assert sh.grade_of(alpha, ("x", "y")) == 1
+
+
+def test_grade_sequence_is_int16():
+    # A word's grades are filled in the table's dtype, 2 bytes per letter.
+    seq = _grade_sequence(z2_alphabet(), ("x", "y", "x", "x"))
+    assert seq.elems.dtype == np.int16 and seq.elems.tolist() == [1, 0, 1, 1]
+    f = sh.prefix_products(seq)
+    assert f.dtype == np.int16 and f.tolist() == [0, 1, 1, 0, 1]
 
 
 def test_factorize_main_example():
