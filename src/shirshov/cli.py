@@ -53,11 +53,7 @@ BENCH_MAX_TRIALS = 1000
 
 
 def _load_payload(args: argparse.Namespace, empty: Optional[dict] = None) -> object:
-    """The parsed --json or --input payload; without either, empty, if given.
-
-    A payload too large to read or parse in the memory available is refused
-    with ValueError, like any other input that cannot be read.
-    """
+    """The parsed --json or --input payload; without either, empty, if given."""
     if args.json is not None and args.input is not None:
         raise ValueError("give either --input or --json, not both.")
     text: Optional[str] = None
@@ -69,8 +65,6 @@ def _load_payload(args: argparse.Namespace, empty: Optional[dict] = None) -> obj
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read {args.input}: {exc}") from exc
-        except MemoryError:
-            raise ValueError(f"cannot read {args.input}: out of memory.") from None
     if text is None:
         if empty is None:
             raise ValueError("an input is required: --input FILE or --json STRING.")
@@ -81,8 +75,6 @@ def _load_payload(args: argparse.Namespace, empty: Optional[dict] = None) -> obj
         raise ValueError(f"bad JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError("bad JSON: nested too deeply.") from exc
-    except MemoryError:
-        raise ValueError("payload too large: out of memory while parsing it.") from None
 
 
 def _fold(payload: dict, args: argparse.Namespace, **defaults: Optional[int]) -> dict:
@@ -287,8 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # The one place an exception becomes an exit code.  Every check of the
     # input raises ValueError; a payload nested past the recursion limit (a
-    # deep "product" group spec) raises RecursionError; an input whose
-    # arrays or tables do not fit in the memory available raises MemoryError.
+    # deep "product" group spec) raises RecursionError; a payload, array or
+    # table too large for the memory available raises MemoryError.
     try:
         return args.func(args)
     except (ValueError, RecursionError) as exc:

@@ -74,9 +74,16 @@ def product(left: GroupSpec, right: GroupSpec) -> GroupSpec:
 
 
 def table(entries: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> GroupSpec:
-    """Explicit Cayley table; validated for the group axioms when built."""
+    """Explicit Cayley table of m rows, each entry an int (see _wire.is_int) in
+    [0, m); validated for the group axioms when built."""
     rows = tuple(tuple(row) for row in entries)
-    return GroupSpec(kind="table", n=len(rows), entries=rows, names=_names(names))
+    m = len(rows)
+    for a, row in enumerate(rows):
+        for b, x in enumerate(row):
+            if not (_wire.is_int(x) and 0 <= x < m):
+                raise ValueError(f"table entries must be integers in [0,{m - 1}], "
+                                 f"got {x!r} at ({a},{b}).")
+    return GroupSpec(kind="table", n=m, entries=rows, names=_names(names))
 
 
 def _names(names: Sequence[str] | None) -> tuple[str, ...] | None:
@@ -278,9 +285,8 @@ def spec_from_json(obj: object) -> GroupSpec:
     names = arg.get("names")
     if names is not None:
         _wire.array(names, '"names"', item=_wire.string)
-    # Checked here, on the parsed JSON, so no entry reaches numpy unchecked.
     for r in rows:
-        _wire.array(r, "table row", lambda x, what: _wire.integer(x, what, 0, m - 1), m)
+        _wire.array(r, "table row", length=m)
     return table(rows, names)
 
 

@@ -233,6 +233,12 @@ def field_from_json(obj: object):
     raise ValueError(f"field must be {{\"prime\": p}} or {{\"rationals\": true}}, got {obj!r}.")
 
 
+def _check_field(field: object) -> PrimeField | RationalField:
+    if not isinstance(field, (PrimeField, RationalField)):
+        raise ValueError(f"field must be a PrimeField or a RationalField, got {field!r}.")
+    return field
+
+
 def _contains(hay: Word, needle: Word) -> bool:
     L = len(needle)
     return any(hay[i : i + L] == needle for i in range(len(hay) - L + 1))
@@ -272,9 +278,7 @@ class AlgebraSpec:
         rules: Sequence[RewriteRule],
         field: PrimeField | RationalField | None = None,
     ):
-        field = PrimeField() if field is None else field
-        if not isinstance(field, (PrimeField, RationalField)):
-            raise ValueError(f"field must be a PrimeField or a RationalField, got {field!r}.")
+        field = _check_field(PrimeField() if field is None else field)
         rules = tuple(rules)
         for rule in rules:
             lhs_grade = grade_of(alphabet, rule.lhs)

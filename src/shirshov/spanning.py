@@ -26,6 +26,7 @@ from .rewriting import (
     StepBudgetExceeded,
     SuffixChain,
     _check_budget,
+    _check_field,
     _rewrite,
     check_confluence,
     normalize,
@@ -212,30 +213,22 @@ def _count_products(lengths: Sequence[int], h: int, D: int) -> int:
 def _primitive_bases(bases: Sequence[Word]) -> list[Word]:
     """The distinct bases, less every proper power of another base.
 
-    With r^j and r^i both bases and j | i, a factor (r^i)^e is the factor
-    (r^j)^(e*i/j), merged with a neighbouring power of r^j if there is one:
-    the same expansion, no longer, and with no more factors.  So dropping
-    r^i leaves the set of expansions the same at every height and expansion
-    cap.  Bases are grouped by primitive root r, and each exponent i is
-    tested against its divisors only.
+    With r^k and r^j both bases, k | j and k < j, a factor (r^j)^e is the
+    factor (r^k)^(e*j/k), merged with a neighbouring power of r^k if there is
+    one: the same expansion, no longer, and with no more factors.  So dropping
+    r^j leaves the expansions the same at every height and expansion cap.  A
+    base w is r^j with r = w[:p], p the shortest period of w dividing len(w),
+    and is compared with the other powers of r only.
     """
-    code: dict[str, str] = {}
-    powers: dict[Word, set[int]] = {}
     rooted = []
+    powers: dict[Word, list[int]] = {}
     for w in dict.fromkeys(bases):
-        s = "".join(code.setdefault(sym, chr(len(code))) for sym in w)
-        # The shortest rotation of w onto itself has length p | len(w), and
-        # w is (w[:p])^(len(w) / p) with w[:p] primitive.
-        p = (s + s).find(s, 1)
-        rooted.append((w, w[:p], len(w) // p))
-        powers.setdefault(w[:p], set()).add(len(w) // p)
-
-    def proper_power(root: Word, i: int) -> bool:
-        exps = powers[root]
-        return any(i % j == 0 and ((j < i and j in exps) or (j > 1 and i // j in exps))
-                   for j in range(1, math.isqrt(i) + 1))
-
-    return [w for w, root, i in rooted if not proper_power(root, i)]
+        n = len(w)
+        p = next(q for q in range(1, n + 1) if n % q == 0 and w[q:] == w[: n - q])
+        rooted.append((w, w[:p], n // p))
+        powers.setdefault(w[:p], []).append(n // p)
+    return [w for w, root, j in rooted
+            if not any(k < j and j % k == 0 for k in powers[root])]
 
 
 def _live_bases(spec: AlgebraSpec, bases: Sequence[Word], D: int,
@@ -278,7 +271,7 @@ class RowEchelon:
 
     def __init__(self, field):
         # The field's characteristic: p over F_p, 0 over Q.
-        self._p = field.p if isinstance(field, PrimeField) else 0
+        self._p = field.p if isinstance(_check_field(field), PrimeField) else 0
         self._pivots: dict[Word | str, dict] = {}
         self._letters = 0
 

@@ -1,5 +1,8 @@
-"""Builders shared by the test modules: the Z/2-graded alphabet {x: 1, y: 0}
-and the fixture algebra <x, y | x y -> y y x> over it."""
+"""Builders shared by the test modules: the Z/2-graded alphabet {x: 1, y: 0},
+the fixture algebra <x, y | x y -> y y x> over it, and the branching algebra
+<x, y | y x -> 2 x y + 1/3 x> over Q."""
+
+from fractions import Fraction
 
 import shirshov as sh
 
@@ -16,3 +19,9 @@ def fixture_algebra(field=None):
         rules=[sh.RewriteRule(lhs=("x", "y"), rhs=((("y", "y", "x"), field.one),))],
         field=field,
     )
+
+
+def branching_algebra():
+    # y x -> 2 x y + 1/3 x over Q: every rewrite forks.
+    rule = sh.RewriteRule(("y", "x"), ((("x", "y"), Fraction(2)), (("x",), Fraction(1, 3))))
+    return sh.AlgebraSpec(z2_alphabet(), [rule], sh.RationalField())

@@ -1,5 +1,6 @@
 """Command-line interface: payloads, formats, and the exit-code contract."""
 
+import dataclasses
 import json
 import pathlib
 import resource
@@ -13,6 +14,7 @@ import shirshov as sh
 from shirshov.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_NOT_WITNESSED,
     EXIT_OK,
     entry,
@@ -261,6 +263,21 @@ def test_verify_base_graded_flag(capsys):
     assert doc["verdict"] == "witnessed-spanning"
     assert doc["height"] == 5
     assert doc["neutral"]["verdict"] == "witnessed-spanning"
+
+
+@pytest.mark.parametrize("graded, base", [(False, [["x"], ["y"]]),
+                                           (True, [["y"], ["x", "x"]])],
+                         ids=["plain", "graded"])
+def test_verify_base_violated_invariant_exits_one(capsys, monkeypatch, graded, base):
+    # No input reaches the defensive verdict, so every phase is made to
+    # report it: the report is still written, and the exit code is 1.
+    span_check = sh.spanning._span_check
+    monkeypatch.setattr(sh.spanning, "_span_check", lambda *args: dataclasses.replace(
+        span_check(*args), verdict=sh.VIOLATED))
+    payload = json.dumps({"algebra": FIXTURE_ALGEBRA, "base": base, "graded": graded})
+    code, doc, err = run_json(capsys, "verify-base", "--h", "2", "--d", "4", "--json", payload)
+    assert (code, doc["verdict"], err) == (EXIT_INTERNAL, "violated-invariant", "")
+    assert (doc["neutral"] is not None) == graded
 
 
 def test_verify_base_human_format(capsys):

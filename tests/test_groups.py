@@ -1,6 +1,7 @@
 """Construction and validation of finite groups as multiplication tables."""
 
 import itertools
+import json
 import random
 import re
 import tracemalloc
@@ -159,7 +160,7 @@ def test_spec_json_round_trip():
         sh.product(sh.cyclic(2), sh.cyclic(3)),
         sh.table([[0, 1], [1, 0]], names=["e", "s"]),
     ):
-        again = sh.spec_from_json(sh.spec_to_json(spec))
+        again = sh.spec_from_json(json.loads(json.dumps(sh.spec_to_json(spec))))
         assert again == spec
         assert sh.build_group(again).order == sh.build_group(spec).order
 

@@ -15,7 +15,7 @@ import shirshov as sh
 from shirshov import rewriting
 from shirshov.rewriting import _is_prime
 
-from fixture_algebras import fixture_algebra, z2_alphabet
+from fixture_algebras import branching_algebra, fixture_algebra, z2_alphabet
 
 
 def _trivial_alphabet(*syms):
@@ -440,17 +440,6 @@ def _naive_normalize(spec, word, budget):
     return out, steps
 
 
-def _branching_algebra():
-    Q = sh.RationalField()
-    return sh.AlgebraSpec(
-        alphabet=z2_alphabet(),
-        rules=[sh.RewriteRule(
-            lhs=("y", "x"), rhs=((("x", "y"), Fraction(2)), (("x",), Fraction(1, 3)))
-        )],
-        field=Q,
-    )
-
-
 def _leftmost_algebra():
     return sh.AlgebraSpec(
         alphabet=_trivial_alphabet("x", "y", "z", "u", "v"),
@@ -570,7 +559,7 @@ def _random_words(rng, letters, count, longest):
 
 @pytest.mark.parametrize("make, letters, longest, budget", [
     pytest.param(fixture_algebra, "xy", 9, 10**6, id="fixture"),
-    pytest.param(_branching_algebra, "xy", 8, 10**6, id="branching"),
+    pytest.param(branching_algebra, "xy", 8, 10**6, id="branching"),
     pytest.param(_leftmost_algebra, "xyzuv", 10, 10**6, id="leftmost"),
     pytest.param(_longest_algebra, "abc", 10, 10**6, id="longest"),
     pytest.param(_equal_length_algebra, "abc", 10, 10**6, id="equal"),
@@ -704,7 +693,7 @@ def test_rational_results_are_fractions_on_every_path():
     )
     free = sh.AlgebraSpec(z2_alphabet(), [], Q)
     words = [tuple(w) for w in ("", "x", "yx", "yyx", "xyz", "yzx", "xyyx", "yyxx")]
-    for alg, letters in ((_branching_algebra(), "xy"), (uncertified, "xyzuv"), (free, "xy")):
+    for alg, letters in ((branching_algebra(), "xy"), (uncertified, "xyzuv"), (free, "xy")):
         chain = sh.SuffixChain()
         for word in words:
             if set(word) <= set(letters):
@@ -720,7 +709,7 @@ def test_rational_results_are_fractions_on_every_path():
 
 @pytest.mark.parametrize("make, letters", [
     pytest.param(fixture_algebra, "xy", id="fixture"),
-    pytest.param(_branching_algebra, "xy", id="branching"),
+    pytest.param(branching_algebra, "xy", id="branching"),
     pytest.param(_wide_algebra, _WIDE, id="wide"),
 ])
 def test_memo_path_equals_direct_path_in_any_order(make, letters):
@@ -1065,7 +1054,7 @@ def test_long_closed_form_words_take_exact_steps_quickly():
 
 
 def test_check_confluence_certifies_fixture_and_branching():
-    for alg in (fixture_algebra(), _branching_algebra(), _wide_algebra()):
+    for alg in (fixture_algebra(), branching_algebra(), _wide_algebra()):
         cert = sh.check_confluence(alg)
         assert cert.confluent and cert.unresolved is None
         assert sh.check_confluence(alg) is cert  # cached on the spec

@@ -5,7 +5,9 @@ import gc
 import itertools
 import pickle
 import random
+import re
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 import shirshov as sh
 from shirshov.spanning import _count_products, _primitive_bases
 
-from fixture_algebras import fixture_algebra, z2_alphabet
+from fixture_algebras import branching_algebra, fixture_algebra, z2_alphabet
 
 
 def _free_algebra(field=None):
@@ -224,6 +226,15 @@ def test_enumerate_products_validation():
 
 
 # ---------------------------------------------------------------- RowEchelon
+
+
+def test_echelon_checks_its_field_as_algebra_spec_does():
+    # Anything but a PrimeField or a RationalField is refused, not ranked as Q.
+    for bad in ("banana", 0, sh.PrimeField):
+        message = f"field must be a PrimeField or a RationalField, got {bad!r}."
+        for make in (sh.RowEchelon, lambda f: sh.AlgebraSpec(z2_alphabet(), [], f)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(bad)
 
 
 def _echelon_rank(alg, words):
@@ -749,20 +760,14 @@ def test_echelon_letter_cap_pinned_on_the_fixture(monkeypatch, check, letters, r
         check(*args, h=2, d=8, D=16)
 
 
-def _branching_algebra():
-    # y x -> 2 x y + 1/3 x over Q: every rewrite forks.
-    rule = sh.RewriteRule(("y", "x"), ((("x", "y"), Fraction(2)), (("x",), Fraction(1, 3))))
-    return sh.AlgebraSpec(z2_alphabet(), [rule], sh.RationalField())
-
-
 @pytest.mark.parametrize("algebra, check, base, hdD, work", [
     pytest.param(fixture_algebra, sh.is_shirshov_base, [("x",), ("y",)], (2, 8, 16),
                  (130_918, 116, 130_678), id="fixture-base"),
     pytest.param(fixture_algebra, sh.check_graded_theorem, [("y",), ("x", "x")], (2, 8, 16),
                  (2_712_807, 6_907, 2_698_836), id="fixture-graded"),
-    pytest.param(_branching_algebra, sh.is_shirshov_base, [("x",), ("y",)], (2, 5, 10),
+    pytest.param(branching_algebra, sh.is_shirshov_base, [("x",), ("y",)], (2, 5, 10),
                  (495, 0, 0), id="branching-base"),
-    pytest.param(_branching_algebra, sh.check_graded_theorem, [("y",), ("x", "x")], (2, 5, 10),
+    pytest.param(branching_algebra, sh.check_graded_theorem, [("y",), ("x", "x")], (2, 5, 10),
                  (8_391, 0, 0), id="branching-graded"),
 ])
 def test_engine_work_pinned_on_the_workloads(monkeypatch, algebra, check, base, hdD, work):
@@ -810,6 +815,28 @@ def test_graded_insufficient_neutral_base():
     assert rep.verdict == sh.NOT_WITNESSED
     assert ("x", "x") in rep.neutral.missing
     assert ("x", "x") in rep.missing
+
+
+@pytest.mark.parametrize("phase", [0, 1], ids=["neutral", "total"])
+def test_a_violated_phase_makes_the_graded_verdict_violated(monkeypatch, phase):
+    # Ranks and membership always agree, so no input reaches the defensive
+    # verdict; a phase made to report it must carry it to the graded one.
+    reports = []
+    span_check = sh.spanning._span_check
+
+    def violating(*args):
+        reports.append(span_check(*args))
+        if len(reports) == phase + 1:
+            return replace(reports[-1], verdict=sh.VIOLATED)
+        return reports[-1]
+
+    monkeypatch.setattr(sh.spanning, "_span_check", violating)
+    rep = sh.check_graded_theorem(fixture_algebra(), [("y",), ("x", "x")], h=2, d=4, D=8)
+    assert [r.verdict for r in reports] == [sh.WITNESSED, sh.WITNESSED]
+    assert rep.verdict == sh.VIOLATED
+    assert rep.neutral.verdict == (sh.VIOLATED if phase == 0 else sh.WITNESSED)
+    assert (rep.rank_products, rep.rank_joint) == (reports[1].rank_products,
+                                                    reports[1].rank_joint)
 
 
 def test_graded_rejects_non_identity_grade_base():

@@ -196,6 +196,24 @@ def test_library_counts_are_read_as_ints(site):
     assert call(Small(3)) == call(3)
 
 
+TABLE_SITES = {
+    "table": sh.table,
+    "spec_from_json": lambda rows: sh.spec_from_json({"table": {"table": rows}}),
+}
+
+
+@pytest.mark.parametrize("site", TABLE_SITES)
+def test_table_entries_are_read_as_ints(site):
+    # table() reads every entry, for a library spec and a JSON one alike.
+    call = TABLE_SITES[site]
+    for bad in (True, 2.5, "3", np.int64(1), 2, -1):
+        message = f"table entries must be integers in [0,1], got {bad!r} at (1,1)."
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call([[0, 1], [1, bad]])
+    Small = type("Small", (int,), {})
+    assert sh.build_group(call([[0, 1], [1, Small(0)]])).mul(1, 1) == 0
+
+
 def test_generator_symbols_are_read_as_strings():
     group = sh.build_group(sh.cyclic(2))
     for bad in (None, 3, ("x",)):
