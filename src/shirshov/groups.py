@@ -70,26 +70,61 @@ def symmetric(n: int) -> GroupSpec:
 
 def product(left: GroupSpec, right: GroupSpec) -> GroupSpec:
     """Direct product; elements are pairs ordered lexicographically."""
+    if not (isinstance(left, GroupSpec) and isinstance(right, GroupSpec)):
+        raise ValueError(f"product factors must be group specs, got {left!r} and {right!r}.")
     return GroupSpec(kind="product", left=left, right=right)
 
 
 def table(entries: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> GroupSpec:
-    """Explicit Cayley table of m rows, each entry an int (see _wire.is_int) in
-    [0, m); validated for the group axioms when built."""
-    rows = tuple(tuple(row) for row in entries)
-    m = len(rows)
-    for a, row in enumerate(rows):
-        for b, x in enumerate(row):
-            if not (_wire.is_int(x) and 0 <= x < m):
-                raise ValueError(f"table entries must be integers in [0,{m - 1}], "
-                                 f"got {x!r} at ({a},{b}).")
-    return GroupSpec(kind="table", n=m, entries=rows, names=_names(names))
+    """Explicit Cayley table of m rows of m elements (see _elements); validated
+    for the group axioms when built."""
+    rows = tuple(map(tuple, _elements(entries, "table entries").tolist()))
+    return GroupSpec(kind="table", n=len(rows), entries=rows, names=_names(names))
 
 
 def _names(names: Sequence[str] | None) -> tuple[str, ...] | None:
-    if names is None:
-        return None
-    return tuple(_wire.string(x, "element name") for x in names)
+    if names is not None and not isinstance(names, (list, tuple)):
+        raise ValueError(f"element names must be a list, got {names!r}.")
+    return None if names is None else tuple(_wire.string(x, "element name") for x in names)
+
+
+def _elements(x: object, what: str, m: int | None = None) -> np.ndarray:
+    """x as a new read-only int16 array of group elements, each in [0, m): given m, a
+    sequence, otherwise a Cayley table of m rows of m entries, 1 <= m <= MAX_ORDER.
+    x is an integer numpy array or a list or tuple of ints (see _wire.is_int) or of rows."""
+    ndim = 2 if m is None else 1
+    if not (isinstance(x, (list, tuple))
+            or isinstance(x, np.ndarray) and x.dtype.kind in "iu" and x.ndim == ndim):
+        raise ValueError(f"{what} must be a list, or an array {('one', 'two')[ndim - 1]}"
+                         f"-dimensional and integral, got {x!r}.")
+    if m is None:
+        m = len(x)
+        if m == 0:
+            raise ValueError("a group has at least one element.")
+        _check_order(m)
+        for a, row in enumerate(x):
+            if not isinstance(row, (list, tuple, np.ndarray)):
+                raise ValueError(f"table row {a} must be a list, got {row!r}.")
+            if len(row) != m:
+                raise ValueError(f"table row {a} has length {len(row)}, expected {m}.")
+    if isinstance(x, np.ndarray):
+        # Two reductions; the first bad entry is looked for only on failure.
+        ok = not x.size or 0 <= int(x.min()) and int(x.max()) < m
+        bad = None if ok else next((k, x.flat[k].item())
+                                   for k in np.flatnonzero((x < 0) | (x >= m)))
+    else:
+        # _wire.is_int written inline: this runs once per element.
+        bad = None
+        for k, g in enumerate(itertools.chain.from_iterable(x) if ndim == 2 else x):
+            if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < m:
+                bad = k, g
+                break
+    if bad:
+        where = f"position {bad[0] + 1}" if ndim == 1 else "({},{})".format(*divmod(bad[0], m))
+        raise ValueError(f"{what} must be integers in [0,{m - 1}], got {bad[1]!r} at {where}.")
+    arr = np.array(x, dtype=np.int16)
+    arr.flags.writeable = False
+    return arr
 
 
 class FiniteGroup:
@@ -106,23 +141,8 @@ class FiniteGroup:
         names: Sequence[str] | None = None,
         spec: GroupSpec | None = None,
     ):
-        m = len(entries)
-        if m == 0:
-            raise ValueError("a group has at least one element.")
-        _check_order(m)
-        for a, row in enumerate(entries):
-            if len(row) != m:
-                raise ValueError(f"table row {a} has length {len(row)}, expected {m}.")
-        arr = np.asarray(entries)
-        # Entries beyond int64, floats, strings and the like give other dtypes.
-        if arr.ndim != 2 or arr.dtype.kind not in "iu":
-            raise ValueError(f"table entries must be integers in [0,{m - 1}].")
-        bad = np.argwhere((arr < 0) | (arr >= m))
-        if len(bad):
-            a, b = bad[0]
-            raise ValueError(f"table entry at ({a},{b}) is {arr[a, b]}, outside [0,{m - 1}].")
-        # Every entry is now in [0, m) with m <= MAX_ORDER, so it fits int16.
-        cayley = arr.astype(np.int16)
+        cayley = _elements(entries, "table entries")
+        m = len(cayley)
         elems = np.arange(m)
         bad = np.flatnonzero((cayley[0] != elems) | (cayley[:, 0] != elems))
         if len(bad):
@@ -141,7 +161,6 @@ class FiniteGroup:
         if len(names) != m:
             raise ValueError(f"got {len(names)} names for {m} elements.")
 
-        cayley.flags.writeable = False
         self.order = m
         self.cayley = cayley
         self.inv_table = tuple(inv.tolist())
@@ -254,8 +273,8 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
     """
     _check_order(_order(spec))
     if spec.kind == "table":
-        assert spec.entries is not None
-        return FiniteGroup(spec.entries, spec.names, spec=spec)
+        # table() has read the entries: as an array they are not read again in Python.
+        return FiniteGroup(np.array(spec.entries), spec.names, spec=spec)
     names = [str(a) for a in range(spec.n)] if spec.kind == "cyclic" else None
     return FiniteGroup(_table(spec), names, spec=spec)
 
@@ -277,17 +296,11 @@ def spec_from_json(obj: object) -> GroupSpec:
         left, right = _wire.array(arg, '"product"', length=2)
         return product(spec_from_json(left), spec_from_json(right))
     arg = _wire.fields(arg, "table spec", required=("table",), optional=("order", "names"))
-    rows = _wire.array(arg["table"], '"table"')
-    m = len(rows)
-    order = _wire.integer(arg.get("order", m), "table spec order")
-    if order != m:
-        raise ValueError(f"table spec order {order} does not match {m} rows.")
-    names = arg.get("names")
-    if names is not None:
-        _wire.array(names, '"names"', item=_wire.string)
-    for r in rows:
-        _wire.array(r, "table row", length=m)
-    return table(rows, names)
+    spec = table(arg["table"], arg.get("names"))
+    order = _wire.integer(arg.get("order", spec.n), "table spec order")
+    if order != spec.n:
+        raise ValueError(f"table spec order {order} does not match {spec.n} rows.")
+    return spec
 
 
 def spec_to_json(spec: GroupSpec) -> dict:

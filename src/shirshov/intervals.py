@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _wire
-from .groups import FiniteGroup, build_group, spec_from_json, spec_to_json
+from .groups import FiniteGroup, _elements, build_group, spec_from_json, spec_to_json
 
 __all__ = [
     "Interval",
@@ -58,31 +58,12 @@ class GradeSequence:
     """A finite-group-valued sequence; positions are 1-based.
 
     elems is the sequence's own read-only copy of the given elements, in the
-    Cayley table's dtype (int16, 2 bytes per element), whether they came as
-    an array or as ints.
+    Cayley table's dtype (int16, 2 bytes per element), as groups._elements
+    reads them from an integer array or a list of ints.
     """
 
     def __init__(self, group: FiniteGroup, elems: Sequence[int] | np.ndarray):
-        m = group.order
-        if isinstance(elems, np.ndarray):
-            if elems.ndim != 1 or not np.issubdtype(elems.dtype, np.integer):
-                raise ValueError("elems array must be one-dimensional and integral.")
-            if elems.size and (int(elems.min()) < 0 or int(elems.max()) >= m):
-                pos = int(np.flatnonzero((elems < 0) | (elems >= m))[0])
-                raise ValueError(
-                    f"element {int(elems[pos])} at position {pos + 1} "
-                    f"out of range [0,{m - 1}]."
-                )
-        else:
-            # _wire.is_int written inline: this runs once per element.
-            elems = tuple(elems)
-            for pos, g in enumerate(elems):
-                if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < m:
-                    raise ValueError(
-                        f"element {g!r} at position {pos + 1} out of range [0,{m - 1}]."
-                    )
-        self.elems: np.ndarray = np.array(elems, dtype=group.cayley.dtype)
-        self.elems.flags.writeable = False
+        self.elems: np.ndarray = _elements(elems, "sequence elements", group.order)
         self.group = group
 
     def __len__(self) -> int:

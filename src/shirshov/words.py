@@ -43,6 +43,11 @@ class GradedAlphabet:
     """Ordered generator symbols with grades in a finite group."""
 
     def __init__(self, group: FiniteGroup, generators: Sequence[tuple[str, int]]):
+        if not isinstance(generators, (list, tuple)):
+            raise ValueError(f"generators must be a list of pairs, got {generators!r}.")
+        for gen in generators:
+            if not (isinstance(gen, (list, tuple)) and len(gen) == 2):
+                raise ValueError(f"generator must be a (symbol, grade) pair, got {gen!r}.")
         gens = tuple((_wire.string(sym, "generator symbol"), grade) for sym, grade in generators)
         if not gens:
             raise ValueError("an alphabet needs at least one generator.")

@@ -101,7 +101,7 @@ def test_decompose_element_out_of_range(capsys):
         capsys, "decompose", "--json", '{"group":{"cyclic":2},"elems":[1,5]}'
     )
     assert code == EXIT_BAD_INPUT
-    assert "out of range" in err
+    assert err == "error: sequence elements must be integers in [0,1], got 5 at position 2.\n"
 
 
 def test_decompose_output_round_trips_through_verify(capsys):

@@ -107,6 +107,14 @@ def test_product_group_componentwise():
                     assert lhs == rhs
 
 
+
+def test_product_takes_only_group_specs():
+    for left, right in ((sh.cyclic(2), 3), ({"cyclic": 2}, sh.cyclic(2)), (None, None)):
+        with pytest.raises(ValueError, match="product factors must be group specs"):
+            sh.build_group(sh.product(left, right))
+    assert sh.build_group(sh.product(sh.cyclic(2), sh.cyclic(2))).order == 4
+
+
 def test_associativity_exhaustive_small():
     rng = random.Random(0)
     for spec in (sh.cyclic(6), sh.dihedral(3), sh.symmetric(3)):
@@ -203,10 +211,12 @@ def test_order_cap_keeps_flat_indices_int32():
     for spec, order in ((sh.cyclic(cap + 1), cap + 1),
                         (sh.dihedral(cap // 2 + 1), cap + 2),
                         (sh.product(sh.symmetric(6), sh.symmetric(6)), 720 * 720),
-                        (sh.product(sh.cyclic(100_000), sh.cyclic(1)), 100_000),
-                        (sh.table([[0]] * (cap + 1)), cap + 1)):
+                        (sh.product(sh.cyclic(100_000), sh.cyclic(1)), 100_000)):
         with pytest.raises(ValueError, match=f"order {order} exceeds the cap of {cap}"):
             sh.build_group(spec)
+    # A table's order is its row count, read before any row.
+    with pytest.raises(ValueError, match=f"order {cap + 1} exceeds the cap of {cap}"):
+        sh.table([[0]] * (cap + 1))
     assert sh.build_group(sh.product(sh.symmetric(5), sh.cyclic(34))).order == 4080
 
 

@@ -244,19 +244,21 @@ def test_bruteforce_rejects_large_input():
 
 
 def test_sequence_validates_elements():
-    with pytest.raises(ValueError, match=r"element 3 at position 2 out of range"):
+    message = "sequence elements must be integers in [0,2], got 3 at position 2."
+    with pytest.raises(ValueError, match=re.escape(message)):
         _seq(sh.cyclic(3), [0, 3])
     z2 = sh.build_group(sh.cyclic(2))
     for elems in (np.zeros((2, 2), dtype=np.int64), np.zeros(3)):
         with pytest.raises(ValueError, match="one-dimensional and integral"):
             sh.GradeSequence(z2, elems)
-    with pytest.raises(ValueError, match=re.escape("element 5 at position 2 out of range [0,1].")):
+    message = "sequence elements must be integers in [0,1], got 5 at position 2."
+    with pytest.raises(ValueError, match=re.escape(message)):
         sh.GradeSequence(z2, np.array([1, 5]))
     c17 = sh.build_group(sh.cyclic(17))
-    for given, message in ((np.array([3, -2, 20], dtype=np.int8), "element -2 at position 2"),
+    for given, message in ((np.array([3, -2, 20], dtype=np.int8), "got -2 at position 2."),
                            (np.array([1, 2, 2 ** 64 - 1], dtype=np.uint64),
-                            f"element {2 ** 64 - 1} at position 3")):
-        with pytest.raises(ValueError, match=re.escape(f"{message} out of range [0,16].")):
+                            f"got {2 ** 64 - 1} at position 3.")):
+        with pytest.raises(ValueError, match=re.escape(f"integers in [0,16], {message}")):
             sh.GradeSequence(c17, given)
     with pytest.raises(ValueError, match="no serializable spec"):
         sh.sequence_to_json(sh.GradeSequence(sh.FiniteGroup([[0]]), [0]))

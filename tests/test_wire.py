@@ -214,6 +214,41 @@ def test_table_entries_are_read_as_ints(site):
     assert sh.build_group(call([[0, 1], [1, Small(0)]])).mul(1, 1) == 0
 
 
+ELEMENT_SITES = {
+    "table": ("table entries", "(1,1)", lambda x: sh.build_group(sh.table([[0, 1], [1, x]]))),
+    "spec_from_json": ("table entries", "(1,1)",
+                       lambda x: sh.spec_from_json({"table": {"table": [[0, 1], [1, x]]}})),
+    "FiniteGroup": ("table entries", "(1,1)", lambda x: sh.FiniteGroup([[0, 1], [1, x]])),
+    "GradeSequence": ("sequence elements", "position 2",
+                      lambda x: sh.GradeSequence(sh.build_group(sh.cyclic(2)), [0, x])),
+}
+
+
+@pytest.mark.parametrize("site", ELEMENT_SITES)
+def test_group_elements_have_one_reader(site):
+    # Table entries and sequence elements are group elements, read by one
+    # check with one message, whichever site takes them.
+    what, where, call = ELEMENT_SITES[site]
+    for bad in (True, 2.5, "3", np.int64(1), 2, -1):
+        message = f"{what} must be integers in [0,1], got {bad!r} at {where}."
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad)
+
+
+def test_group_element_arrays_are_read_and_shapes_refused():
+    g = sh.build_group(sh.symmetric(3))
+    rebuilt = sh.build_group(sh.table(g.cayley))
+    assert np.array_equal(rebuilt.cayley, g.cayley) and rebuilt.inv_table == g.inv_table
+    assert sh.spec_to_json(rebuilt.spec) == sh.spec_to_json(sh.table(g.cayley.tolist()))
+    json.dumps(sh.spec_to_json(rebuilt.spec))
+    c2 = sh.build_group(sh.cyclic(2))
+    for call in (lambda: sh.FiniteGroup([0, 1]), lambda: sh.table([0, 1]),
+                 lambda: sh.table([]), lambda: sh.table([[0, 1], [1]]),
+                 lambda: sh.GradeSequence(c2, 5), lambda: sh.GradeSequence(c2, None)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_generator_symbols_are_read_as_strings():
     group = sh.build_group(sh.cyclic(2))
     for bad in (None, 3, ("x",)):
@@ -242,8 +277,8 @@ def test_payload_too_large_for_memory_exits_two(capsys, monkeypatch, tmp_path, s
 
 
 NAME_SITES = {
-    "table": lambda x: sh.table([[0, 1], [1, 0]], names=["e", x]).names[1],
-    "FiniteGroup": lambda x: sh.FiniteGroup([[0, 1], [1, 0]], names=["e", x]).name_of(1),
+    "table": lambda names: sh.table([[0, 1], [1, 0]], names=names).names,
+    "FiniteGroup": lambda names: sh.FiniteGroup([[0, 1], [1, 0]], names=names).names,
 }
 
 
@@ -253,9 +288,12 @@ def test_element_names_are_read_as_strings(site):
     for bad in (None, 3, ("s",)):
         message = f"element name must be a string, got {bad!r}."
         with pytest.raises(ValueError, match=re.escape(message)):
-            call(bad)
+            call(["e", bad])
+    # One string is not a list of names, not even of one-letter ones.
+    with pytest.raises(ValueError, match=re.escape("element names must be a list, got 'ab'.")):
+        call("ab")
     Name = type("Name", (str,), {})
-    assert call(Name("s")) == "s"
+    assert call(["e", Name("s")]) == ("e", "s")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Factorization of graded words into identity-grade and leftover segments."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,20 @@ def test_alphabet_validation():
         sh.grade_of(alpha, ("x", "z"))
     with pytest.raises(ValueError, match="no serializable spec"):
         sh.alphabet_to_json(sh.GradedAlphabet(sh.FiniteGroup([[0]]), [("x", 0)]))
+
+
+
+def test_alphabet_reads_each_generator_as_a_pair():
+    group = sh.build_group(sh.cyclic(2))
+    for generators, message in ((None, "generators must be a list of pairs, got None."),
+                                ("xy", "generators must be a list of pairs, got 'xy'."),
+                                ([5], "generator must be a (symbol, grade) pair, got 5."),
+                                ([("x",)], "generator must be a (symbol, grade) pair, got ('x',)."),
+                                ([("x", 0), ("y", 1, 2)],
+                                 "generator must be a (symbol, grade) pair, got ('y', 1, 2).")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sh.GradedAlphabet(group, generators)
+    assert sh.GradedAlphabet(group, (["x", 1], ("y", 0))).generators == (("x", 1), ("y", 0))
 
 
 def test_grade_of_examples():
