@@ -121,8 +121,15 @@ def _scan_pairs(flat: np.ndarray, m: int, x: np.ndarray) -> None:
     # odd slot, then fill each even slot from the odd slot before it.  About
     # 2n table gathers in all.  The flat index a*m + b reaches m^2 - 1, past
     # int16, so it is formed in int32: a plain x * m would stay int16 and wrap.
+    # Below 16 elements a round costs more in numpy calls than it saves, so
+    # the recursion ends in a left fold over Python ints, whose products
+    # never wrap.
     n = len(x)
-    if n < 2:
+    if n < 16:
+        acc = x.tolist()
+        for k in range(1, n):
+            acc[k] = flat.item(acc[k - 1] * m + acc[k])
+        x[:] = acc
         return
     idx = np.multiply(x[0 : n - 1 : 2], m, dtype=np.int32)
     idx += x[1::2]
@@ -196,11 +203,10 @@ def _optimal_core(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
     # _settle over the prefix products f in chunks.  best[] entries only
     # increase within [-(m-1), 0], so there are at most m*(m+1) events, but in
     # bursts.  A chunk of at most 256 positions goes to _settle; a longer one
-    # is one vectorized scan: with best[] frozen, phi(i) + i =
-    # max_t<=i (best[f(t)] + t) is a running maximum, valid up to the first
-    # event, which the scan hands to _settle; the next chunk starts after it.
-    # No chunk is longer than _BLOCK.  best[] is kept as a list for _settle
-    # and as an array for the gather, and _settle writes both at each event.
+    # is one vectorized test for its first event, which it hands to _settle;
+    # the next chunk starts after it.  No chunk is longer than _BLOCK.
+    # best[] is kept as a list for _settle and as an array for the gather,
+    # and _settle writes both at each event.
     n = len(f) - 1
     best = [-(1 << 30)] * m
     best[0] = 0
@@ -223,26 +229,28 @@ def _optimal_core(f: np.ndarray, m: int) -> tuple[list[Interval], int]:
             if len(first) == seen:
                 chunk <<= 1
             continue
-        # b + k for chunk offset k, so that phi(start + k) = scan[k] - k and
-        # an event is scan[k] > b[k] + k.
-        b = best_arr[f[start : end + 1]]
+        # With best[] frozen, b[k] = best[f(start + k)] + k.  Up to the first
+        # event phi(start + k) = b[k] - k, so an event at k > 0 is
+        # b[k] - k < phi(start + k - 1) - 1, a descent b[k] < b[k - 1]; at
+        # k = 0 it is b[0] < phi(start - 1) - 1.
+        b = best_arr.take(f[start : end + 1])
         b += offsets[: end - start + 1]
-        scan = np.maximum.accumulate(b)
-        np.maximum(scan, phi - 1, out=scan)
-        rise = scan > b
-        k = int(rise.argmax())
-        if rise[k]:
-            # phi(start + k - 1) = phi(start + k) + 1 at the event.
-            phi = _settle([int(f[start + k])], start + k, int(scan[k]) - k + 1,
-                          best, best_arr, first)
-            start += k + 1
-            # Restart at about twice the gap just scanned, so a burst costs
-            # chunks of its own size.
-            chunk = min(max(64, 2 * (k + 1)), _BLOCK)
+        if b[0] < phi - 1:
+            k = 0
         else:
-            phi = int(scan[-1]) - (end - start)
-            start = end + 1
-            chunk = min(chunk << 1, _BLOCK)
+            drop = b[1:] < b[:-1]
+            k = int(drop.argmax()) + 1
+            if not drop[k - 1]:
+                phi = int(b[-1]) - (end - start)
+                start = end + 1
+                chunk = min(chunk << 1, _BLOCK)
+                continue
+            phi = int(b[k - 1]) - k + 1  # phi(start + k - 1)
+        phi = _settle([int(f[start + k])], start + k, phi, best, best_arr, first)
+        start += k + 1
+        # Restart at about twice the gap just scanned, so a burst costs
+        # chunks of its own size.
+        chunk = min(max(64, 2 * (k + 1)), _BLOCK)
 
     return _traceback(f, m, phi, first), phi + n
 

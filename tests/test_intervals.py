@@ -147,10 +147,12 @@ def test_prefix_products_match_left_fold():
 
 def test_scan_matches_scalar_fold():
     # Every length class of the pairwise scan: odd and even, and 2^k - 1, 2^k,
-    # 2^k + 1, where the recursion's depth steps up.  Elements of cyclic(4096)
-    # near m - 1 reach the largest flat index a*m + b = m^2 - 1.
+    # 2^k + 1, where the recursion's depth steps up.  Every length up to 40
+    # ends in the scalar fold below 16 elements, directly or after one or two
+    # pairwise rounds.  Elements of cyclic(4096) near m - 1 reach the largest
+    # flat index a*m + b = m^2 - 1.
     rng = random.Random(13)
-    lengths = sorted({*range(6), 4100,
+    lengths = sorted({*range(41), 4100,
                       *(2 ** k + d for k in range(1, 14) for d in (-1, 0, 1))})
     specs = (
         sh.cyclic(17), sh.dihedral(4), sh.symmetric(4),
@@ -557,6 +559,54 @@ def test_core_restarts_after_an_event_late_in_a_full_chunk():
     assert _optimal_core(sh.prefix_products(seq), 3) == expected
     dec = sh.decompose_optimal(seq)
     assert (list(dec.intervals), dec.coverage) == expected
+
+
+# Over C5, g_1 = 1 raises best[1] to -1 and g_2 = 4 brings f back to e; every
+# other element is e unless placed.  The first chunk [1, 256] has an event and
+# the second, [257, 512], is quiet, so the first vector chunk is [513, 1024]
+# and, if that one is quiet too, the next is [1025, 2048].
+@pytest.mark.parametrize("placed, n, scanned, singles", [
+    # An event at offset 0 of a vector chunk, b[0] < phi(start - 1) - 1.
+    ({513: 2}, 3000, range(513, 513), [513]),
+    ({1025: 2}, 3000, range(513, 1025), [1025]),
+    # f(i) = 1 with best[1] = phi(i - 1) - 1 ties skipping i with closing
+    # [2, i], so b[k] = b[k - 1] (or b[0] = phi(start - 1) - 1): not an event.
+    ({513: 1, 514: 4}, 3000, range(513, 3001), []),
+    ({600: 1, 601: 4}, 3000, range(513, 3001), []),
+    # An event at the chunk's last position, b[511] < b[510].
+    ({1024: 2}, 3000, range(513, 1024), [1024]),
+    # The sequence ends inside the vector chunk [513, 900]: quiet, with an
+    # event at n, and with an event before it.
+    ({}, 900, range(513, 901), []),
+    ({900: 2}, 900, range(513, 900), [900]),
+    ({700: 2}, 900, range(513, 700), [700]),
+], ids=["event-at-offset-0", "event-at-offset-0-after-a-quiet-chunk", "tie-at-offset-0",
+        "tie-inside", "event-at-last-position", "ends-inside-quiet", "ends-inside-event-at-n",
+        "ends-inside-event-before-n"])
+def test_descent_test_at_chunk_edges(monkeypatch, placed, n, scanned, singles):
+    # The vector branch hands each event to _settle alone; a scalar chunk
+    # before n is at least 64 positions long.  So a one-value call before n
+    # is an event the descent test found, and a position no call settles was
+    # scanned by the vector branch.
+    calls = []
+
+    def recording_settle(values, start, *args):
+        calls.append((start, len(values)))
+        return _settle(values, start, *args)
+
+    monkeypatch.setattr("shirshov.intervals._settle", recording_settle)
+    group = sh.build_group(sh.cyclic(5))
+    elems = np.zeros(n, dtype=np.int64)
+    elems[0], elems[1] = 1, 4
+    for pos, g in placed.items():
+        elems[pos - 1] = g
+    seq = sh.GradeSequence(group, elems)
+    got = _optimal_core(sh.prefix_products(seq), 5)
+    assert got == _optimal_core_reference(group.cayley, elems)
+    assert calls[:2] == [(1, 256), (257, 256)]
+    settled = {p for start, k in calls for p in range(start, start + k)}
+    assert settled.isdisjoint(scanned)
+    assert [start for start, k in calls if k == 1] == singles
 
 
 def test_interval_kernels_working_memory_is_bounded():
