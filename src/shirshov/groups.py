@@ -42,7 +42,13 @@ MAX_ORDER = 4096
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Recipe for a finite group; realize it with build_group()."""
+    """Recipe for a finite group; realize it with build_group().
+
+    A "table" spec reads its entries (see _elements) and names when it is
+    made, and keeps the rows as tuples of ints; its n is the row count, and
+    left at 0 it is taken from the rows.  The table is checked for the group
+    axioms when built.
+    """
 
     kind: str
     n: int = 0
@@ -50,6 +56,16 @@ class GroupSpec:
     right: Optional["GroupSpec"] = None
     entries: Optional[tuple[tuple[int, ...], ...]] = None
     names: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.kind != "table":
+            return
+        rows = tuple(map(tuple, _elements(self.entries, "table entries").tolist()))
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "names", _names(self.names))
+        if not _wire.is_int(self.n) or self.n not in (0, len(rows)):
+            raise ValueError(f"table spec order {self.n!r} does not match {len(rows)} rows.")
+        object.__setattr__(self, "n", len(rows))
 
 
 def cyclic(n: int) -> GroupSpec:
@@ -76,10 +92,8 @@ def product(left: GroupSpec, right: GroupSpec) -> GroupSpec:
 
 
 def table(entries: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> GroupSpec:
-    """Explicit Cayley table of m rows of m elements (see _elements); validated
-    for the group axioms when built."""
-    rows = tuple(map(tuple, _elements(entries, "table entries").tolist()))
-    return GroupSpec(kind="table", n=len(rows), entries=rows, names=_names(names))
+    """Explicit Cayley table of m rows of m elements, read by GroupSpec."""
+    return GroupSpec(kind="table", entries=entries, names=names)
 
 
 def _names(names: Sequence[str] | None) -> tuple[str, ...] | None:
@@ -273,7 +287,7 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
     """
     _check_order(_order(spec))
     if spec.kind == "table":
-        # table() has read the entries: as an array they are not read again in Python.
+        # GroupSpec has read the entries: as an array they are not read again in Python.
         return FiniteGroup(np.array(spec.entries), spec.names, spec=spec)
     names = [str(a) for a in range(spec.n)] if spec.kind == "cyclic" else None
     return FiniteGroup(_table(spec), names, spec=spec)
@@ -296,11 +310,8 @@ def spec_from_json(obj: object) -> GroupSpec:
         left, right = _wire.array(arg, '"product"', length=2)
         return product(spec_from_json(left), spec_from_json(right))
     arg = _wire.fields(arg, "table spec", required=("table",), optional=("order", "names"))
-    spec = table(arg["table"], arg.get("names"))
-    order = _wire.integer(arg.get("order", spec.n), "table spec order")
-    if order != spec.n:
-        raise ValueError(f"table spec order {order} does not match {spec.n} rows.")
-    return spec
+    order = _wire.integer(arg["order"], "table spec order", 1) if "order" in arg else 0
+    return GroupSpec(kind="table", n=order, entries=arg["table"], names=arg.get("names"))
 
 
 def spec_to_json(spec: GroupSpec) -> dict:

@@ -59,12 +59,15 @@ class GradeSequence:
 
     elems is the sequence's own read-only copy of the given elements, in the
     Cayley table's dtype (int16, 2 bytes per element), as groups._elements
-    reads them from an integer array or a list of ints.
+    reads them from an integer array or a list of ints.  The sequence also
+    keeps its prefix products once prefix_products has computed them, so a
+    decomposed or verified sequence holds 4 bytes per element.
     """
 
     def __init__(self, group: FiniteGroup, elems: Sequence[int] | np.ndarray):
         self.elems: np.ndarray = _elements(elems, "sequence elements", group.order)
         self.group = group
+        self._prefix: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -97,12 +100,19 @@ def lemma_bound(n: int, m: int) -> int:
 
 
 def prefix_products(seq: GradeSequence) -> np.ndarray:
-    """All prefix products f(0) = e, f(k) = g_1 * ... * g_k, as one numpy array."""
-    # f is in the table's dtype, int16.  Each block of _BLOCK elements is
-    # scanned on its own, so the scan's temporaries are bounded by the block,
-    # not by n.  The prefix before a block is folded into its first element,
-    # one scalar lookup, and the scan carries it through the rest of the
-    # block.
+    """All prefix products f(0) = e, f(k) = g_1 * ... * g_k, as one numpy array.
+
+    The array is the sequence's own and read-only: the first call computes
+    it and keeps it on the sequence, and later calls return the same array.
+    """
+    # f is a pure function of the read-only elems and cayley, so it is
+    # computed once per sequence.  It is in the table's dtype, int16.  Each
+    # block of _BLOCK elements is scanned on its own, so the scan's
+    # temporaries are bounded by the block, not by n.  The prefix before a
+    # block is folded into its first element, one scalar lookup, and the
+    # scan carries it through the rest of the block.
+    if seq._prefix is not None:
+        return seq._prefix
     cayley = seq.group.cayley
     flat = cayley.ravel()
     out = np.empty(len(seq.elems) + 1, dtype=cayley.dtype)
@@ -112,6 +122,8 @@ def prefix_products(seq: GradeSequence) -> np.ndarray:
         blk = out[lo : lo + _BLOCK]
         blk[0] = cayley[out[lo - 1], blk[0]]
         _scan_pairs(flat, len(cayley), blk)
+    out.flags.writeable = False
+    seq._prefix = out
     return out
 
 
@@ -270,9 +282,16 @@ def verify_decomposition(seq: GradeSequence, dec: Decomposition) -> Decompositio
     n = len(seq)
     violations: list[str] = []
 
-    # Ints only, as _wire reads them: a bool, float or numpy integer fails.
+    # A list of pairs of ints only, as _wire reads them: a bool, float or
+    # numpy integer fails, and so does an entry that is not a pair.
+    listed = isinstance(dec.intervals, (list, tuple))
+    if not listed:
+        violations.append(f"intervals must be a list, got {dec.intervals!r}.")
     shaped: list[Interval] = []
-    for iv in dec.intervals:
+    for iv in dec.intervals if listed else ():
+        if not (isinstance(iv, (list, tuple)) and len(iv) == 2):
+            violations.append(f"interval {iv!r} is not a pair of endpoints.")
+            continue
         a, b = iv
         if not (_wire.is_int(a) and _wire.is_int(b)) or a > b or a < 1 or b > n:
             violations.append(f"interval [{a!r},{b!r}] out of range for n={n}.")
@@ -294,16 +313,20 @@ def verify_decomposition(seq: GradeSequence, dec: Decomposition) -> Decompositio
         violations.append(f"interval [{shaped[k].start},{shaped[k].end}] product != identity.")
 
     # A rejected interval is one fault: the count and the complement are only
-    # checked against a set of intervals that are all well formed.
+    # checked against a set of intervals that are all well formed, and the
+    # complement only against a list of positions.
     coverage_ok = _wire.is_int(dec.coverage)
-    if len(shaped) == len(dec.intervals):
+    positions = isinstance(dec.uncovered, (list, tuple))
+    if not positions:
+        violations.append(f"uncovered positions must be a list, got {dec.uncovered!r}.")
+    if listed and len(shaped) == len(dec.intervals):
         total = int((ends[:, 1] - ends[:, 0] + 1).sum())
         if not coverage_ok or dec.coverage != total:
             violations.append(
                 f"coverage miscount: stated {dec.coverage!r}, intervals cover {total}."
             )
-        if (not all(map(_wire.is_int, dec.uncovered))
-                or list(dec.uncovered) != _complement(in_order, n)):
+        if positions and (not all(map(_wire.is_int, dec.uncovered))
+                          or list(dec.uncovered) != _complement(in_order, n)):
             violations.append("uncovered positions do not match the complement.")
 
     bound_ok = coverage_ok and dec.coverage >= lemma_bound(n, seq.group.order)

@@ -178,16 +178,23 @@ def verify_factorization(
     group = alphabet.group
     m = group.order
     f = prefix_products(_grade_sequence(alphabet, word))
-    # Int endpoints only, as factorization_from_json reads them: any other
-    # segment is one violation, ends the partition walk, and is dropped.
-    plain = [_wire.is_int(s.start) and _wire.is_int(s.end) for s in fact.segments]
-    violations = [f"segment [{s.start!r},{s.end!r}] has an endpoint that is not an int."
-                  for s, ok in zip(fact.segments, plain) if not ok]
-    kept = Factorization(tuple(s for s, ok in zip(fact.segments, plain) if ok))
+    if not isinstance(fact.segments, (list, tuple)):
+        return FactorizationReport((f"segments must be a list, got {fact.segments!r}.",))
+    # (tag, start, end) triples with int endpoints only, as
+    # factorization_from_json reads them: any other segment is one violation,
+    # ends the partition walk, and is dropped.
+    segments = [Segment(*s) if isinstance(s, (list, tuple)) and len(s) == 3 else None
+                for s in fact.segments]
+    plain = [s is not None and _wire.is_int(s.start) and _wire.is_int(s.end)
+             for s in segments]
+    violations = [f"segment {given!r} is not a (tag, start, end) triple." if s is None else
+                  f"segment [{s.start!r},{s.end!r}] has an endpoint that is not an int."
+                  for given, s, ok in zip(fact.segments, segments, plain) if not ok]
+    kept = Factorization(tuple(s for s, ok in zip(segments, plain) if ok))
 
     nxt = 1
     shaped = all(plain)
-    for seg, ok in zip(fact.segments, plain):
+    for seg, ok in zip(segments, plain):
         if not ok:
             break
         if seg.tag not in ("A", "Y"):
@@ -203,8 +210,8 @@ def verify_factorization(
     if shaped and nxt != n + 1:
         violations.append(f"segments stop at {nxt - 1}, word has length {n}.")
 
-    for prev, cur in zip(fact.segments, fact.segments[1:]):
-        if prev.tag == cur.tag in ("A", "Y"):
+    for prev, cur in zip(segments, segments[1:]):
+        if prev is not None and cur is not None and prev.tag == cur.tag in ("A", "Y"):
             violations.append(
                 f"adjacent {cur.tag}-segments [{prev.start},{prev.end}] and "
                 f"[{cur.start},{cur.end}] are not merged."

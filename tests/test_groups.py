@@ -360,3 +360,44 @@ def test_spec_json_table_entries_are_true_ints():
     for rows in ([[0, 1], [1, 10 ** 30]], [[0, 1], [1, 1.0]], [[0, 1], [1, "0"]]):
         with pytest.raises(ValueError, match="integers"):
             sh.build_group(sh.table(rows))
+
+
+def test_table_spec_reads_its_entries_when_made():
+    # A spec made by hand is read as table() reads one, so build_group can
+    # trust its entries and spec_to_json writes a wire form spec_from_json
+    # takes back.
+    message = "table entries must be integers in [0,1], got True at (0,1)."
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sh.GroupSpec("table", 2, entries=((0, True), (True, 0)))
+    with pytest.raises(ValueError, match=re.escape("element names must be a list, got 'ab'.")):
+        sh.GroupSpec("table", 2, entries=((0, 1), (1, 0)), names="ab")
+    for n in (1, 3, True, False, 2.0, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"table spec order {n!r} does not match "
+                                                       "2 rows.")):
+            sh.GroupSpec("table", n, entries=((0, 1), (1, 0)))
+    spec = sh.GroupSpec("table", 2, entries=np.array([[0, 1], [1, 0]]), names=["e", "s"])
+    assert spec == sh.table([[0, 1], [1, 0]], names=("e", "s"))
+    assert spec.entries == ((0, 1), (1, 0)) and type(spec.entries[1][0]) is int
+    with pytest.raises(ValueError, match=re.escape("table spec order must be an integer >= 1, "
+                                                   "got 0.")):
+        sh.spec_from_json({"table": {"order": 0, "table": [[0]]}})
+
+
+def test_every_table_spec_that_builds_round_trips():
+    s3 = sh.build_group(sh.symmetric(3)).cayley
+    c4c4 = sh.build_group(sh.product(sh.cyclic(4), sh.cyclic(4))).cayley
+    specs = [
+        sh.table([[0]]),
+        sh.table([[0, 1], [1, 0]], names=["e", "s"]),
+        sh.table(s3),
+        sh.table(tuple(map(tuple, c4c4.tolist()))),
+        sh.GroupSpec("table", 2, entries=((0, 1), (1, 0))),
+        sh.GroupSpec("table", entries=s3.astype(np.uint8), names=tuple("abcdef")),
+        sh.product(sh.table(s3), sh.cyclic(2)),
+    ]
+    for spec in specs:
+        group = sh.build_group(spec)
+        again = sh.spec_from_json(json.loads(json.dumps(sh.spec_to_json(spec))))
+        assert again == spec
+        rebuilt = sh.build_group(again)
+        assert np.array_equal(rebuilt.cayley, group.cayley) and rebuilt.names == group.names

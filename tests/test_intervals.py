@@ -1,5 +1,6 @@
 """Maximum-coverage identity-product interval decompositions."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -196,6 +197,88 @@ def test_scan_matches_scalar_fold_at_block_boundaries():
                           np.array(elems[:n], dtype=np.int32)):
                 got = sh.prefix_products(sh.GradeSequence(group, given))
                 assert got.tolist() == fold[: n + 1], (m, n, type(given))
+
+
+def test_prefix_products_are_kept_on_the_sequence():
+    # The first call computes f and keeps it; later calls return the same
+    # read-only array.
+    seq = _seq(sh.symmetric(3), [1, 2, 3, 4, 5, 0] * 50)
+    f = sh.prefix_products(seq)
+    assert sh.prefix_products(seq) is f
+    assert not f.flags.writeable
+    with pytest.raises(ValueError):
+        f[1] = 0
+
+
+def test_verify_reads_the_prefix_products_decompose_kept(monkeypatch):
+    rng = np.random.default_rng(53)
+    group = sh.build_group(sh.symmetric(5))
+    seq = sh.GradeSequence(group, rng.integers(0, group.order, size=3 * _BLOCK + 7))
+    dec = sh.decompose_optimal(seq)
+    report = sh.verify_decomposition(sh.GradeSequence(group, seq.elems), dec)
+    assert report.ok and report.bound_ok
+
+    def no_scan(*args):
+        raise AssertionError("the pairwise scan ran again")
+
+    monkeypatch.setattr("shirshov.intervals._scan_pairs", no_scan)
+    assert sh.verify_decomposition(seq, dec) == report
+
+
+def _mutated(seq, dec):
+    # Each changes one field of an optimal decomposition.  No two intervals
+    # are adjacent, so the position after an interval is uncovered, and it
+    # is not the identity, or the interval would take it.
+    first, rest = dec.intervals[0], dec.intervals[1:]
+    assert first.end < len(seq) and seq.elems[first.end] != 0
+    u = dec.uncovered
+    return {
+        "endpoint moved": dataclasses.replace(
+            dec, intervals=(Interval(first.start, first.end - 1), *rest)),
+        "interval dropped": dataclasses.replace(dec, intervals=rest),
+        "coverage off by one": dataclasses.replace(dec, coverage=dec.coverage + 1),
+        "uncovered position changed": dataclasses.replace(dec, uncovered=(u[0] + 1, *u[1:])),
+        "product not the identity": dataclasses.replace(
+            dec, intervals=(Interval(first.start, first.end + 1), *rest)),
+    }
+
+
+def test_verify_on_a_decomposed_sequence_matches_a_fresh_one():
+    rng = np.random.default_rng(57)
+    for spec in (sh.cyclic(17), sh.symmetric(5)):
+        group = sh.build_group(spec)
+        seq = sh.GradeSequence(group, rng.integers(0, group.order, size=5000))
+        dec = sh.decompose_optimal(seq)
+        assert dec.uncovered
+        mutated = _mutated(seq, dec)
+        for kind, bad in mutated.items():
+            kept = sh.verify_decomposition(seq, bad)
+            fresh = sh.verify_decomposition(sh.GradeSequence(group, seq.elems), bad)
+            assert (kept.violations, kept.bound_ok) == (fresh.violations, fresh.bound_ok)
+            assert not kept.ok, (group.order, kind)
+        report = sh.verify_decomposition(seq, mutated["product not the identity"])
+        assert any("product != identity" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("spec", [sh.cyclic(17), sh.symmetric(5), sh.symmetric(6)],
+                         ids=["C17", "S5", "S6"])
+def test_outputs_match_reference_before_and_after_f_is_kept(spec):
+    rng = np.random.default_rng(61)
+    group = sh.build_group(spec)
+    for n in (0, 1, 1000, _BLOCK + 1, 150_000):
+        elems = rng.integers(0, group.order, size=n)
+        expected = _optimal_core_reference(group.cayley, elems)
+        by_decompose = sh.GradeSequence(group, elems)
+        by_verify = sh.GradeSequence(group, elems)
+        assert by_decompose._prefix is None and by_verify._prefix is None
+        dec = sh.decompose_optimal(by_decompose)
+        assert (list(dec.intervals), dec.coverage) == expected, (group.order, n)
+        report = sh.verify_decomposition(by_verify, dec)
+        assert report.ok and report.bound_ok
+        for seq in (by_decompose, by_verify):
+            assert seq._prefix is not None
+            assert sh.decompose_optimal(seq) == dec
+            assert sh.verify_decomposition(seq, dec) == report
 
 
 def test_lemma_bound_examples():
@@ -409,6 +492,23 @@ def test_verify_reports_a_rejected_interval_once(interval, message):
     assert rep.bound_ok
 
 
+@pytest.mark.parametrize("intervals, uncovered, message", [
+    (((1, 2, 3),), (3,), "interval (1, 2, 3) is not a pair of endpoints."),
+    (((2,),), (3,), "interval (2,) is not a pair of endpoints."),
+    ((None,), (3,), "interval None is not a pair of endpoints."),
+    ((sh.Interval(1, 2),), None, "uncovered positions must be a list, got None."),
+    ((sh.Interval(1, 2),), 5, "uncovered positions must be a list, got 5."),
+    (None, (3,), "intervals must be a list, got None."),
+], ids=["triple", "single", "none", "uncovered-none", "uncovered-int", "intervals-none"])
+def test_verify_reports_a_malformed_entry_once(intervals, uncovered, message):
+    # Not a pair, or positions that are not a list: one violation, which the
+    # coverage and complement checks skip, as for a non-int endpoint.
+    seq = _seq(sh.cyclic(2), [1, 1, 0])
+    rep = sh.verify_decomposition(seq, sh.Decomposition(intervals, uncovered, 2))
+    assert rep.violations == (message,)
+    assert rep.bound_ok
+
+
 def test_decompose_returns_plain_ints():
     # Numpy elements, prefix products and scans must not leak into the result.
     group = sh.build_group(sh.symmetric(3))
@@ -610,24 +710,27 @@ def test_descent_test_at_chunk_edges(monkeypatch, placed, n, scanned, singles):
 
 
 def test_interval_kernels_working_memory_is_bounded():
-    # Beside the n + 1 prefix products, decompose and verify allocate only
-    # per-block temporaries, not arrays in proportion to n.
+    # Beside the n + 1 int16 prefix products, decompose and verify allocate
+    # only per-block temporaries, not arrays in proportion to n.  Each call
+    # gets a fresh sequence, built outside the traced region, so it computes
+    # f itself instead of reading the one the sequence keeps.
     rng = np.random.default_rng(43)
     n = 10 ** 6
+    limit = (n + 1) * 2 + (2 << 20)
     for spec in (sh.cyclic(17), sh.symmetric(6)):
         group = sh.build_group(spec)
-        seq = sh.GradeSequence(group, rng.integers(0, group.order, size=n))
-        limit = sh.prefix_products(seq).nbytes + (2 << 20)
-        dec = sh.decompose_optimal(seq)
-        for call in (lambda: sh.decompose_optimal(seq),
-                     lambda: sh.verify_decomposition(seq, dec)):
+        elems = rng.integers(0, group.order, size=n)
+        dec = sh.decompose_optimal(sh.GradeSequence(group, elems))
+        for call in (sh.decompose_optimal, lambda seq: sh.verify_decomposition(seq, dec)):
+            seq = sh.GradeSequence(group, elems)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                call()
+                call(seq)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
+            assert seq._prefix is not None
             assert peak <= limit, (group.order, peak, limit)
 
 

@@ -260,6 +260,26 @@ def test_verify_reports_a_non_int_endpoint_once(segments, bad):
     assert sh.verify_factorization(alpha, word, good).violations == ()
 
 
+@pytest.mark.parametrize("segments, bad", [
+    ((("A", 1, 2, 3),), "('A', 1, 2, 3)"),
+    ((None,), "None"),
+    ((sh.Segment("A", 1, 3), None), "None"),
+    ((sh.Segment("Y", 1, 1), ("A", 2)), "('A', 2)"),
+], ids=["four-entries", "none", "none-after-a", "pair-after-y"])
+def test_verify_reports_a_malformed_segment_once(segments, bad):
+    # A segment that is not a (tag, start, end) triple is one violation, as
+    # a non-int endpoint is, and no other check reads it.
+    alpha = z2_alphabet()
+    word = ("x", "x", "y")
+    rep = sh.verify_factorization(alpha, word, sh.Factorization(segments))
+    assert rep.violations == (f"segment {bad} is not a (tag, start, end) triple.",)
+
+
+def test_verify_reports_segments_that_are_not_a_list():
+    rep = sh.verify_factorization(z2_alphabet(), ("x", "x"), sh.Factorization(None))
+    assert rep.violations == ("segments must be a list, got None.",)
+
+
 def test_verify_flags_partition_gap():
     alpha = z2_alphabet()
     word = ("y", "y", "y")
