@@ -61,16 +61,25 @@ class GradeSequence:
     Cayley table's dtype (int16, 2 bytes per element), as groups._elements
     reads them from an integer array or a list of ints.  The sequence also
     keeps its prefix products once prefix_products has computed them, so a
-    decomposed or verified sequence holds 4 bytes per element.
+    decomposed or verified sequence holds 4 bytes per element.  elems and
+    group are read-only: the kept prefix products are a function of both.
     """
 
     def __init__(self, group: FiniteGroup, elems: Sequence[int] | np.ndarray):
-        self.elems: np.ndarray = _elements(elems, "sequence elements", group.order)
-        self.group = group
+        self._elems = _elements(elems, "sequence elements", group.order)
+        self._group = group
         self._prefix: np.ndarray | None = None
 
+    @property
+    def elems(self) -> np.ndarray:
+        return self._elems
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self._group
+
     def __len__(self) -> int:
-        return len(self.elems)
+        return len(self._elems)
 
 
 @dataclass(frozen=True)

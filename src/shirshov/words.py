@@ -10,7 +10,7 @@ letters in total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -87,9 +87,21 @@ class Segment(NamedTuple):
 
 @dataclass(frozen=True)
 class Factorization:
-    """Alternating Y/A segments partitioning the positions of a word."""
+    """Alternating Y/A segments partitioning the positions of a word.
+
+    A factorization that factorize returns for a tuple word also holds the
+    prefix products f of the word's grades, 2 bytes per letter, with the
+    alphabet, group and word tuple it read them from, for as long as it
+    lives.  verify_factorization checks it against that f, without reading
+    the word again, when it is given that same alphabet, group and tuple.
+    The held f takes no part in equality, repr or JSON, and a factorization
+    made any other way (the constructor, dataclasses.replace,
+    factorization_from_json) holds none.
+    """
 
     segments: tuple[Segment, ...]
+    # (alphabet, group, word, f), set by factorize alone.
+    _read: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -131,7 +143,8 @@ def _grade_sequence(alphabet: GradedAlphabet, word: Sequence[str]) -> GradeSeque
 
 def factorize(alphabet: GradedAlphabet, word: Sequence[str]) -> Factorization:
     """Factor a word into maximal identity-grade A-segments and leftover Y-segments."""
-    dec = decompose_optimal(_grade_sequence(alphabet, word))
+    seq = _grade_sequence(alphabet, word)
+    dec = decompose_optimal(seq)
     segments: list[Segment] = []
     nxt = 1
     for a, b in dec.intervals:
@@ -141,7 +154,12 @@ def factorize(alphabet: GradedAlphabet, word: Sequence[str]) -> Factorization:
         nxt = b + 1
     if nxt <= len(word):
         segments.append(Segment("Y", nxt, len(word)))
-    return Factorization(segments=tuple(segments))
+    fact = Factorization(segments=tuple(segments))
+    # Only a tuple is its own tuple(word) in verify_factorization; a list
+    # never is, so f is kept for a tuple alone.
+    if type(word) is tuple:
+        object.__setattr__(fact, "_read", (alphabet, seq.group, word, prefix_products(seq)))
+    return fact
 
 
 def power_count(fact: Factorization, h: int) -> int:
@@ -172,12 +190,22 @@ class FactorizationReport:
 def verify_factorization(
     alphabet: GradedAlphabet, word: Sequence[str], fact: Factorization
 ) -> FactorizationReport:
-    """Check every factorization invariant for a claimed factorization."""
+    """Check every factorization invariant for a claimed factorization.
+
+    Every invariant is checked against the prefix products f of the word's
+    grades.  f is read afresh from the word, unless fact came from factorize
+    on this same word tuple, alphabet object and alphabet.group: then the f
+    factorize read is checked instead, and the report is the same.
+    """
     word = tuple(word)
     n = len(word)
     group = alphabet.group
     m = group.order
-    f = prefix_products(_grade_sequence(alphabet, word))
+    read = getattr(fact, "_read", None)
+    if read is not None and read[0] is alphabet and read[1] is group and read[2] is word:
+        f = read[3]
+    else:
+        f = prefix_products(_grade_sequence(alphabet, word))
     if not isinstance(fact.segments, (list, tuple)):
         return FactorizationReport((f"segments must be a list, got {fact.segments!r}.",))
     # (tag, start, end) triples with int endpoints only, as

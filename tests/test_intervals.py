@@ -210,6 +210,21 @@ def test_prefix_products_are_kept_on_the_sequence():
         f[1] = 0
 
 
+def test_elements_and_group_cannot_be_rebound():
+    # The kept f is a function of elems and group, so neither can be
+    # rebound past the element reader: over C3, [1, 2, 0] rebound to
+    # [1, 1, 1] would keep f = [0, 1, 0, 0], where [1, 1, 1] has [0, 1, 2, 0].
+    c3 = sh.build_group(sh.cyclic(3))
+    seq = sh.GradeSequence(c3, [1, 2, 0])
+    sh.decompose_optimal(seq)
+    with pytest.raises(AttributeError):
+        seq.elems = np.array([1, 1, 1], dtype=np.int16)
+    with pytest.raises(AttributeError):
+        seq.group = sh.build_group(sh.cyclic(3))
+    assert seq.elems.tolist() == [1, 2, 0] and seq.group is c3
+    assert sh.prefix_products(seq).tolist() == [0, 1, 0, 0]
+
+
 def test_verify_reads_the_prefix_products_decompose_kept(monkeypatch):
     rng = np.random.default_rng(53)
     group = sh.build_group(sh.symmetric(5))

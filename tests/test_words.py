@@ -1,5 +1,7 @@
 """Factorization of graded words into identity-grade and leftover segments."""
 
+import copy
+import dataclasses
 import random
 import re
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import shirshov as sh
+from shirshov import intervals, words
 from shirshov.words import _grade_sequence
 
 from fixture_algebras import z2_alphabet
@@ -163,6 +166,128 @@ def test_verify_factorization_clean_on_factorize_output():
         fact = sh.factorize(alpha, word)
         rep = sh.verify_factorization(alpha, word, fact)
         assert rep.ok, rep.violations
+
+
+def _count_reads(monkeypatch) -> dict:
+    # Grade reads of a word, and prefix scans that compute f (a call that
+    # returns a sequence's kept f is not a scan).
+    counts = {"reads": 0, "scans": 0}
+    read, scan = words._grade_sequence, intervals.prefix_products
+
+    def counted_read(*args):
+        counts["reads"] += 1
+        return read(*args)
+
+    def counted_scan(seq):
+        counts["scans"] += seq._prefix is None
+        return scan(seq)
+
+    monkeypatch.setattr(words, "_grade_sequence", counted_read)
+    monkeypatch.setattr(words, "prefix_products", counted_scan)
+    monkeypatch.setattr(intervals, "prefix_products", counted_scan)
+    return counts
+
+
+def _s3_word(n, seed):
+    group = sh.build_group(sh.symmetric(3))
+    alpha = sh.GradedAlphabet(group, [(f"g{k}", k) for k in range(group.order)])
+    rng = random.Random(seed)
+    return alpha, tuple(f"g{rng.randrange(group.order)}" for _ in range(n))
+
+
+def test_verify_reuses_the_grades_factorize_read(monkeypatch):
+    alpha, word = _s3_word(500, 61)
+    fresh = sh.verify_factorization(alpha, list(word), sh.factorize(alpha, list(word)))
+    counts = _count_reads(monkeypatch)
+    fact = sh.factorize(alpha, word)
+    assert sh.verify_factorization(alpha, word, fact) == fresh
+    assert counts == {"reads": 1, "scans": 1}
+    assert sh.verify_factorization(alpha, word, fact) == fresh
+    assert counts == {"reads": 1, "scans": 1}
+    # The held f leaves equality, hashing, repr and JSON as they were.
+    plain = sh.Factorization(fact.segments)
+    assert fact == plain and hash(fact) == hash(plain) and repr(fact) == repr(plain)
+    assert sh.factorization_to_json(fact) == sh.factorization_to_json(plain)
+
+
+def _regraded(alpha):
+    # alpha with its group rebound to an equal group that is another object.
+    alpha.group = sh.build_group(alpha.group.spec)
+    return alpha
+
+
+@pytest.mark.parametrize("case", ["list", "equal-tuple", "other-alphabet", "rebound-group",
+                                  "json", "replace", "constructor", "factorize-twice"])
+def test_verify_reads_afresh_unless_given_what_factorize_read(monkeypatch, case):
+    alpha, word = _s3_word(500, 67)
+    given = list(word) if case == "list" else word
+    fresh = sh.verify_factorization(alpha, list(word), sh.factorize(alpha, list(word)))
+    counts = _count_reads(monkeypatch)
+    fact = sh.factorize(alpha, given)
+    assert (fact._read is None) == (case == "list")
+    fact = {"json": lambda: sh.factorization_from_json(sh.factorization_to_json(fact)),
+            "replace": lambda: dataclasses.replace(fact),
+            "constructor": lambda: sh.Factorization(fact.segments),
+            "factorize-twice": lambda: sh.factorize(alpha, word)}.get(case, lambda: fact)()
+    checked_word = tuple(list(word)) if case == "equal-tuple" else given
+    checked_alpha = {"other-alphabet": lambda: sh.GradedAlphabet(alpha.group, alpha.generators),
+                     "rebound-group": lambda: _regraded(alpha)}.get(case, lambda: alpha)()
+    assert sh.verify_factorization(checked_alpha, checked_word, fact) == fresh
+    assert counts == {"reads": 2, "scans": 2}
+
+
+def _forged(fact, segments):
+    # fact's segments replaced, keeping the f that factorize attached, as a
+    # certificate altered after factorize returned it would be.
+    out = copy.copy(fact)
+    object.__setattr__(out, "segments", tuple(segments))
+    return out
+
+
+def test_reused_and_fresh_reports_agree_on_genuine_and_mutated_certificates(monkeypatch):
+    rng = random.Random(71)
+    counts = _count_reads(monkeypatch)
+    flagged = mutated = 0
+    for spec in (sh.symmetric(3), sh.cyclic(17), sh.dihedral(4)):
+        group = sh.build_group(spec)
+        alpha = sh.GradedAlphabet(group, [(f"a{k}", rng.randrange(group.order))
+                                          for k in range(rng.randrange(1, 6))])
+        for _ in range(40):
+            word = tuple(rng.choice(alpha.symbols) for _ in range(rng.randrange(0, 301)))
+            fact = sh.factorize(alpha, word)
+            segs = list(fact.segments)
+            mutants = [segs]
+            a_at = [i for i, s in enumerate(segs) if s.tag == "A"]
+            if a_at:
+                i = rng.choice(a_at)
+                tag, a, b = segs[i]
+                steps = [d for d in (-1, 1) if a <= b + d <= len(word)]
+                if steps:
+                    moved = sh.Segment(tag, a, b + rng.choice(steps))
+                    mutants.append(segs[:i] + [moved] + segs[i + 1:])
+                if b > a:
+                    c = rng.randrange(a, b)
+                    mutants.append(segs[:i] + [sh.Segment("A", a, c), sh.Segment("A", c + 1, b)]
+                                   + segs[i + 1:])
+            if segs:
+                i = rng.randrange(len(segs))
+                flip = segs[i]._replace(tag="Y" if segs[i].tag == "A" else "A")
+                mutants.append(segs[:i] + [flip] + segs[i + 1:])
+            for mutant in mutants:
+                reads = counts["reads"]
+                reused = sh.verify_factorization(alpha, word, _forged(fact, mutant))
+                assert counts["reads"] == reads
+                fresh = sh.verify_factorization(alpha, list(word), sh.Factorization(tuple(mutant)))
+                assert counts["reads"] == reads + 1
+                assert reused == fresh
+                if mutant is segs:
+                    assert reused.ok, reused.violations
+                else:
+                    mutated += 1
+                    flagged += not reused.ok
+    # Every mutant drawn here breaks an invariant, so the reused f is shown
+    # to find violations, not only to pass genuine certificates.
+    assert flagged == mutated > 300
 
 
 def test_verify_flags_bad_a_segment_grade():
